@@ -43,7 +43,7 @@ from .geometry import (
     Trajectory,
     canonicalize,
 )
-from .rays import encode_plucker, encode_raxel, encode_raymap, ray_grid
+from .rays import encode_plucker, encode_raxel, encode_raymap, unit_ray_grid
 from .registration import register
 
 CSV_HEADER = (
@@ -111,7 +111,7 @@ def _detect_reference(images, width: int, height: int) -> int | None:
             intr = Intrinsics(
                 fx=fx, fy=fy, cx=width / 2.0, cy=height / 2.0, width=width, height=height
             )
-            grid = ray_grid(intr)
+            grid = unit_ray_grid(intr)
             result = register(image.data.reshape(-1, 3), grid.reshape(-1, 3))
         except (RaxelkitError, ValueError):
             continue

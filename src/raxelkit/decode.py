@@ -10,6 +10,12 @@ Inverts the raxel encoding in two closed-form steps per frame:
    the estimate. The median makes the estimator immune to up to half
    the pixels being corrupted.
 
+``decode_trajectory`` does both in one pass per frame: the reference
+bundle is prepared for registration once per trajectory, and the
+registration's camera-frame rays (x/y/z rows, ``R^T (p - T)``) feed the
+focal votes directly. ``recover_pose`` and ``recover_focal`` are the
+same steps for a single frame.
+
 The principal point is taken as the image center unless the caller
 supplies one.
 """
@@ -20,10 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientInliersError, RaxelkitError, ShapeMismatchError
+from .errors import (
+    InsufficientInliersError,
+    NonFiniteInputError,
+    RaxelkitError,
+    ShapeMismatchError,
+)
 from .geometry import Pose
 from .rays import RaxelImage, grid_pixel_coordinates
-from .registration import RegistrationResult, register
+from .registration import (
+    RegistrationResult,
+    _source_frame_rows,
+    prepare_source,
+    register,
+    register_prepared,
+)
 
 INLIER_EPS = 1e-6
 MIN_INLIER_FRACTION = 0.1
@@ -68,6 +85,51 @@ def _lower_median(values: np.ndarray) -> float:
     return float(np.partition(values, k)[k])
 
 
+def _pixel_offsets(
+    grid_shape: tuple, width: int, height: int, cx: float | None, cy: float | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Grid coordinates u - cx (per column) and v - cy (per row)."""
+    if cx is None:
+        cx = width / 2.0
+    if cy is None:
+        cy = height / 2.0
+    u, v = grid_pixel_coordinates(width, height)
+    if (v.size, u.size) != tuple(grid_shape[:2]):
+        raise ShapeMismatchError(
+            f"image dimensions {width}x{height} map to a "
+            f"{v.size}x{u.size} grid, but the raxel grid is "
+            f"{grid_shape[0]}x{grid_shape[1]}"
+        )
+    return u - cx, v - cy
+
+
+def _focal_votes(
+    local: np.ndarray, u_c: np.ndarray, v_c: np.ndarray
+) -> tuple[float, float, float]:
+    """Median-of-ratios focal lengths from camera-frame rays given as
+    (3, n) x/y/z rows over the grid that ``u_c``/``v_c`` span."""
+    shape = (v_c.size, u_c.size)
+    x, y, z = (row.reshape(shape) for row in local)
+    z_ok = z > INLIER_EPS
+    mask_x = z_ok & (np.abs(x) > INLIER_EPS)
+    mask_y = z_ok & (np.abs(y) > INLIER_EPS)
+    total = x.size
+    frac_x = np.count_nonzero(mask_x) / total
+    frac_y = np.count_nonzero(mask_y) / total
+    if frac_x < MIN_INLIER_FRACTION or frac_y < MIN_INLIER_FRACTION:
+        raise InsufficientInliersError(
+            f"focal inlier fractions {frac_x:.3f}/{frac_y:.3f} below "
+            f"{MIN_INLIER_FRACTION}"
+        )
+    # votes are formed everywhere and masked once; excluded pixels may be inf/nan
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fx_votes = (u_c[None, :] * z) / x
+        fy_votes = (v_c[:, None] * z) / y
+    fx_hat = _lower_median(fx_votes[mask_x])
+    fy_hat = _lower_median(fy_votes[mask_y])
+    return fx_hat, fy_hat, min(frac_x, frac_y)
+
+
 def recover_focal(
     target: RaxelImage,
     pose: Pose,
@@ -87,38 +149,9 @@ def recover_focal(
     smaller of the two axes' inlier shares. Raises InsufficientInliersError
     if either axis keeps fewer than MIN_INLIER_FRACTION of the pixels.
     """
-    if cx is None:
-        cx = width / 2.0
-    if cy is None:
-        cy = height / 2.0
-    u, v = grid_pixel_coordinates(width, height)
-    if (v.size, u.size) != (target.height_r, target.width_r):
-        raise ShapeMismatchError(
-            f"image dimensions {width}x{height} map to a "
-            f"{v.size}x{u.size} grid, but the raxel grid is "
-            f"{target.height_r}x{target.width_r}"
-        )
-
-    local = (target.data - pose.translation) @ pose.rotation
-    x, y, z = local[:, :, 0], local[:, :, 1], local[:, :, 2]
-    u_c = np.broadcast_to((u - cx)[None, :], x.shape)
-    v_c = np.broadcast_to((v - cy)[:, None], y.shape)
-
-    z_ok = z > INLIER_EPS
-    mask_x = z_ok & (np.abs(x) > INLIER_EPS)
-    mask_y = z_ok & (np.abs(y) > INLIER_EPS)
-    total = x.size
-    frac_x = np.count_nonzero(mask_x) / total
-    frac_y = np.count_nonzero(mask_y) / total
-    if frac_x < MIN_INLIER_FRACTION or frac_y < MIN_INLIER_FRACTION:
-        raise InsufficientInliersError(
-            f"focal inlier fractions {frac_x:.3f}/{frac_y:.3f} below "
-            f"{MIN_INLIER_FRACTION}"
-        )
-
-    fx_hat = _lower_median(u_c[mask_x] * z[mask_x] / x[mask_x])
-    fy_hat = _lower_median(v_c[mask_y] * z[mask_y] / y[mask_y])
-    return fx_hat, fy_hat, min(frac_x, frac_y)
+    u_c, v_c = _pixel_offsets(target.data.shape, width, height, cx, cy)
+    local = _source_frame_rows(target.data.reshape(-1, 3), pose)
+    return _focal_votes(local, u_c, v_c)
 
 
 def decode_trajectory(
@@ -131,10 +164,15 @@ def decode_trajectory(
 ) -> tuple[list[DecodedFrame | None], list[DecodeFailure]]:
     """Decode every raxel image against the reference frame's image.
 
-    Frames are solved independently; a degenerate frame is reported in the
-    failure list (with its position) and leaves a None placeholder, without
-    aborting the remaining frames. The reference frame's pose is set to the
-    exact identity, not solved.
+    The reference bundle is prepared for registration once, and each
+    frame's registration hands its camera-frame rays straight to the focal
+    votes, so pose and focal share one pass over the pixels. Frames are
+    solved independently; a frame that is degenerate, has too few focal
+    inliers or contains non-finite pixels is reported in the failure list
+    (with its position) and leaves a None placeholder, without aborting
+    the remaining frames. The reference frame's pose is set to the exact
+    identity, not solved; a non-finite reference raises
+    NonFiniteInputError, since no frame can be registered against it.
 
     Returns (decoded, failures) where decoded matches the input order.
     """
@@ -147,20 +185,26 @@ def decode_trajectory(
             raise ShapeMismatchError(
                 f"image {pos} grid {img.data.shape} differs from reference grid {ref_shape}"
             )
+    ref_rows = np.ascontiguousarray(images[reference_index].data.reshape(-1, 3).T)
+    if not np.all(np.isfinite(ref_rows)):
+        raise NonFiniteInputError(
+            f"reference image {reference_index} contains non-finite pixels"
+        )
 
     decoded: list[DecodedFrame | None] = [None] * n
     failures: list[DecodeFailure] = []
-    reference = images[reference_index]
+    reference = None
     for pos, img in enumerate(images):
         try:
             if pos == reference_index:
-                pose, residual = Pose.identity(), 0.0
+                pose, residual, local = Pose.identity(), 0.0, ref_rows
             else:
-                result = recover_pose(img, reference)
+                if reference is None:
+                    reference = prepare_source(ref_rows.T)
+                result, local = register_prepared(img.data.reshape(-1, 3), reference)
                 pose, residual = result.pose, result.rms_residual
-            fx_hat, fy_hat, inlier_fraction = recover_focal(
-                img, pose, width, height, cx=cx, cy=cy
-            )
+            offsets = _pixel_offsets(ref_shape, width, height, cx, cy)
+            fx_hat, fy_hat, inlier_fraction = _focal_votes(local, *offsets)
         except RaxelkitError as err:
             failures.append(DecodeFailure(position=pos, error=err))
             continue

@@ -17,6 +17,10 @@ class NonPositiveWeightSumError(RaxelkitError):
     """Weighted registration called with weights summing to zero."""
 
 
+class NonFiniteInputError(RaxelkitError, ValueError):
+    """Input coordinates contain NaN or infinity."""
+
+
 class InsufficientInliersError(RaxelkitError):
     """Too few usable pixels for focal-length estimation."""
 

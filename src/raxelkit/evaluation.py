@@ -32,7 +32,7 @@ from .geometry import (
     geodesic_rotation_distance,
     rotation_angle,
 )
-from .rays import RaxelImage, encode_trajectory_raxels
+from .rays import RaxelImage, _raxel_data, encode_trajectory_raxels, unit_ray_grid
 
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -207,28 +207,36 @@ def reverse_trajectory(t: Trajectory) -> Trajectory:
     return Trajectory(frames=frames, reference_index=n - 1 - t.reference_index)
 
 
+def _image(data: np.ndarray) -> RaxelImage:
+    """Wrap a freshly computed array, sparing RaxelImage's defensive copy."""
+    data.flags.writeable = False
+    return RaxelImage(data)
+
+
 def perturb(image: RaxelImage, spec: PerturbationSpec) -> RaxelImage:
     """Damaged copy of a raxel image, per the given perturbation settings."""
     rng = np.random.default_rng(spec.seed)
     data = image.data
     if spec.kind is PerturbationKind.GAUSSIAN_PER_PIXEL:
-        return RaxelImage(data + rng.normal(0.0, spec.magnitude, data.shape))
+        noisy = rng.normal(0.0, spec.magnitude, data.shape)
+        noisy += data
+        return _image(noisy)
     if spec.kind is PerturbationKind.UNIFORM_QUANTIZE:
         lo = float(data.min())
         span = float(data.max()) - lo
         if span == 0.0:
-            return RaxelImage(data.copy())
+            return _image(data.copy())
         levels = 2 ** int(spec.magnitude)
         step = span / levels
         bins = np.clip(np.floor((data - lo) / step), 0, levels - 1)
-        return RaxelImage(lo + (bins + 0.5) * step)
+        return _image(lo + (bins + 0.5) * step)
     # pixel dropout: a seeded pixel subset collapses to the image mean
     flat = data.reshape(-1, 3).copy()
     count = int(round(spec.magnitude * flat.shape[0]))
     if count:
         chosen = rng.choice(flat.shape[0], size=count, replace=False)
         flat[chosen] = data.reshape(-1, 3).mean(axis=0)
-    return RaxelImage(flat.reshape(data.shape))
+    return _image(flat.reshape(data.shape))
 
 
 def _frame_seeds(seed: int, count: int) -> np.ndarray:
@@ -286,13 +294,21 @@ def cycle_consistency_run(
     report = pose_errors(predicted, canonical)
     mrra30 = mrra(predicted, canonical, tau=30.0)
 
-    re_encoded = encode_trajectory_raxels(predicted)
+    # re-encode through the uncached builder: decoded focal lengths are
+    # one-shot intrinsics, and the predicted poses are already canonical
     residual = float(
         np.mean(
             [
-                np.linalg.norm(re_img.data - clean_img.data, axis=2).mean()
-                for re_img, clean_img in zip(re_encoded, clean)
+                _reencode_distance(frame, clean_img.data)
+                for frame, clean_img in zip(predicted.frames, clean)
             ]
         )
     )
     return report, mrra30, residual
+
+
+def _reencode_distance(frame: CameraFrame, clean: np.ndarray) -> float:
+    """Mean per-pixel distance between ``frame``'s raxel image and ``clean``."""
+    diff = _raxel_data(unit_ray_grid(frame.intrinsics), frame.pose)
+    diff -= clean
+    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).mean())

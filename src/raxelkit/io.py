@@ -17,7 +17,8 @@ width_r, frame_index), then the row-major, channel-interleaved float64
 payload. File length is checked exactly.
 
 All writers stage to a temporary file in the target directory and rename,
-so a partially written file is never observable under the target name.
+so a partially written file is never observable under the target name. The
+file gets the mode a plain ``open`` would give it (0666 less the umask).
 """
 
 from __future__ import annotations
@@ -118,12 +119,22 @@ def parse_trajectory(text: str) -> Trajectory:
         raise TrajectoryParseError(str(err), 1)
 
 
-def _atomic_write(path: str, data: bytes) -> None:
+def _umask() -> int:
+    mask = os.umask(0o022)  # reading the mask means setting it; restored at once
+    os.umask(mask)
+    return mask
+
+
+def _atomic_write(path: str, *chunks) -> None:
+    """Write the bytes-like ``chunks`` in order to ``path``, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
+            # mkstemp creates 0600; give the file the mode open() would have
+            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -140,10 +151,11 @@ def load_trajectory(path: str) -> Trajectory:
         return parse_trajectory(fh.read())
 
 
-def _pack_grid(magic: bytes, data: np.ndarray, frame_index: int) -> bytes:
+def _pack_grid(magic: bytes, data: np.ndarray, frame_index: int) -> tuple:
+    """Header bytes and the payload array, written without copying it."""
     h, w = data.shape[:2]
     header = magic + _HEADER_STRUCT.pack(h, w, frame_index)
-    return header + np.ascontiguousarray(data, dtype="<f8").tobytes()
+    return header, np.ascontiguousarray(data, dtype="<f8")
 
 
 def _unpack_grid(blob: bytes, magic: bytes, channels: int, path: str):
@@ -161,7 +173,7 @@ def _unpack_grid(blob: bytes, magic: bytes, channels: int, path: str):
 
 
 def save_raxel(path: str, image: RaxelImage, frame_index: int) -> None:
-    _atomic_write(path, _pack_grid(RAXEL_MAGIC, image.data, frame_index))
+    _atomic_write(path, *_pack_grid(RAXEL_MAGIC, image.data, frame_index))
 
 
 def load_raxel(path: str) -> tuple[RaxelImage, int]:
@@ -172,7 +184,7 @@ def load_raxel(path: str) -> tuple[RaxelImage, int]:
 
 
 def save_raymap(path: str, raymap: RayMap6, frame_index: int) -> None:
-    _atomic_write(path, _pack_grid(RAYMAP_MAGIC, raymap.data, frame_index))
+    _atomic_write(path, *_pack_grid(RAYMAP_MAGIC, raymap.data, frame_index))
 
 
 def load_raymap(path: str, kind: RayMapKind) -> tuple[RayMap6, int]:

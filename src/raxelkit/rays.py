@@ -95,40 +95,60 @@ def grid_pixel_coordinates(width: int, height: int) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
-@lru_cache(maxsize=64)
-def ray_grid(intrinsics: Intrinsics) -> np.ndarray:
+def unit_ray_grid(intrinsics: Intrinsics) -> np.ndarray:
     """Unit camera-space ray directions K^-1 u / ||K^-1 u|| on the raxel grid.
 
-    Returned array has shape (floor(H/2), floor(W/2), 3) and is read-only
-    (results are cached per intrinsics).
+    Returns a fresh, writable array of shape (floor(H/2), floor(W/2), 3).
+    The norm is separable, ``sqrt(x[None, :]**2 + y[:, None]**2 + 1)``, so
+    it is formed on the 2-D grid once, not per 3-vector. ``ray_grid`` is
+    the cached, read-only form; use this one for one-shot intrinsics such
+    as decoded focal lengths, which would only fill the cache.
     """
     u, v = grid_pixel_coordinates(intrinsics.width, intrinsics.height)
     x = (u - intrinsics.cx) / intrinsics.fx
     y = (v - intrinsics.cy) / intrinsics.fy
+    norm = np.sqrt((x * x)[None, :] + (y * y)[:, None] + 1.0)
     dirs = np.empty((v.size, u.size, 3))
-    dirs[:, :, 0] = x[None, :]
-    dirs[:, :, 1] = y[:, None]
-    dirs[:, :, 2] = 1.0
-    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    np.divide(x[None, :], norm, out=dirs[:, :, 0])
+    np.divide(y[:, None], norm, out=dirs[:, :, 1])
+    np.divide(1.0, norm, out=dirs[:, :, 2])
+    return dirs
+
+
+@lru_cache(maxsize=64)
+def ray_grid(intrinsics: Intrinsics) -> np.ndarray:
+    """``unit_ray_grid``, cached per intrinsics and read-only."""
+    dirs = unit_ray_grid(intrinsics)
     dirs.flags.writeable = False
     return dirs
 
 
-def _world_directions(frame: CameraFrame, pose_rel: Pose) -> np.ndarray:
-    return ray_grid(frame.intrinsics) @ pose_rel.rotation.T
+def _world_directions(dirs: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """``R @ d`` at every pixel of an (H, W, 3) ray grid, as one 2-D gemm."""
+    return (dirs.reshape(-1, 3) @ rotation.T).reshape(dirs.shape)
+
+
+def _raxel_data(dirs: np.ndarray, pose: Pose) -> np.ndarray:
+    """``R @ d + T`` at every pixel of an (H, W, 3) ray grid, freshly
+    allocated. T is tiled across whole grid rows, so the add runs over
+    rows of 3W numbers instead of one 3-vector at a time."""
+    data = _world_directions(dirs, pose.rotation)
+    rows = data.reshape(data.shape[0], -1)
+    rows += np.tile(pose.translation, data.shape[1])
+    return data
 
 
 def encode_raxel(frame: CameraFrame, pose_rel: Pose) -> RaxelImage:
     """Raxel image of ``frame`` at relative pose ``pose_rel``: per pixel,
     world direction R_rel @ d_cam plus origin T_rel."""
-    data = _world_directions(frame, pose_rel) + pose_rel.translation
+    data = _raxel_data(ray_grid(frame.intrinsics), pose_rel)
     data.flags.writeable = False
     return RaxelImage(data)
 
 
 def encode_plucker(frame: CameraFrame, pose_rel: Pose) -> RayMap6:
     """Plucker line map: channels [direction, direction x origin]."""
-    d = _world_directions(frame, pose_rel)
+    d = _world_directions(ray_grid(frame.intrinsics), pose_rel.rotation)
     moment = np.cross(d, np.broadcast_to(pose_rel.translation, d.shape))
     data = np.concatenate([d, moment], axis=2)
     data.flags.writeable = False
@@ -137,7 +157,7 @@ def encode_plucker(frame: CameraFrame, pose_rel: Pose) -> RayMap6:
 
 def encode_raymap(frame: CameraFrame, pose_rel: Pose) -> RayMap6:
     """Raymap: channels [origin, direction] with the origin constant per frame."""
-    d = _world_directions(frame, pose_rel)
+    d = _world_directions(ray_grid(frame.intrinsics), pose_rel.rotation)
     origin = np.broadcast_to(pose_rel.translation, d.shape)
     data = np.concatenate([origin, d], axis=2)
     data.flags.writeable = False

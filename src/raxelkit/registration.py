@@ -3,6 +3,14 @@
 Solves argmin over SE(3) of sum_i w_i ||target_i - (R @ source_i + T)||^2 via
 the Kabsch construction: centroid subtraction, SVD of the cross-covariance,
 and a determinant correction that excludes reflections.
+
+The source side is prepared once (``prepare_source``): its centroid, its
+weight-scaled centred points as contiguous x/y/z rows, and their row sums.
+Each target then costs one gemv for its centroid, one gemm for the
+cross-covariance ``src_c^T @ tgt - outer(sum(src_c), centroid_t)`` (the
+target is never centred explicitly), a 3x3 SVD, and one gemm mapping the
+target back into the source frame, from which the residual is a single dot
+product. ``register``/``register_weighted`` prepare and register in one call.
 """
 
 from __future__ import annotations
@@ -11,12 +19,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, NonPositiveWeightSumError, ShapeMismatchError
+from .errors import (
+    DegenerateGeometryError,
+    NonFiniteInputError,
+    NonPositiveWeightSumError,
+    ShapeMismatchError,
+)
 from .geometry import Pose
 
 # Smallest-to-largest singular value ratio of the cross-covariance below which
 # the rotation about the weak axis is unobservable.
 DEGENERACY_THRESHOLD = 1e-9
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,15 +47,129 @@ class RegistrationResult:
     condition: float
 
 
+@dataclass(frozen=True, eq=False)
+class PreparedSource:
+    """A source point set reduced once for registering many targets.
+
+    ``rows`` is the source as a contiguous (3, n) array of x/y/z rows,
+    ``centred`` the weight-scaled centred rows ``w_i (s_i - centroid)``,
+    ``averaging`` the gemv vector ``w / sum(w)`` that yields a weighted
+    centroid, and ``weighted`` whether the weights are non-uniform.
+    """
+
+    rows: np.ndarray
+    centroid: np.ndarray
+    centred: np.ndarray
+    centred_sum: np.ndarray
+    centred_norm: float
+    averaging: np.ndarray
+    weighted: bool
+
+
 def _as_point_set(points, name: str) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ShapeMismatchError(f"{name} must have shape (n, 3), got {pts.shape}")
     if pts.shape[0] < 3:
         raise ShapeMismatchError(f"{name} needs at least 3 points, got {pts.shape[0]}")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError(f"{name} contains non-finite coordinates")
     return pts
+
+
+def _require_finite(pts: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(pts)):
+        raise NonFiniteInputError(f"{name} contains non-finite coordinates")
+
+
+def prepare_source(source, weights=None) -> PreparedSource:
+    """Reduce ``source`` (and optional per-point ``weights``) for
+    ``register_prepared``. Raises as ``register_weighted`` does for a bad
+    source or bad weights."""
+    src = _as_point_set(source, "source")
+    _require_finite(src, "source")
+    n = src.shape[0]
+    if weights is None:
+        w = None
+        averaging = np.full(n, 1.0 / n)
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (n,):
+            raise ShapeMismatchError(f"weights must have shape ({n},), got {w.shape}")
+        if np.any(w < 0.0):
+            raise ValueError("weights must be non-negative")
+        w_sum = float(w.sum())
+        if w_sum <= 0.0:
+            raise NonPositiveWeightSumError("weights must sum to a positive value")
+        averaging = w / w_sum
+    centroid = averaging @ src
+    rows = np.ascontiguousarray(src.T)
+    centred = rows - centroid[:, None]
+    if w is not None:
+        centred *= w
+    return PreparedSource(
+        rows=rows,
+        centroid=centroid,
+        centred=centred,
+        centred_sum=centred.sum(axis=1),
+        centred_norm=float(np.sqrt(np.vdot(centred, centred))),
+        averaging=averaging,
+        weighted=w is not None,
+    )
+
+
+def _source_frame_rows(points: np.ndarray, pose: Pose) -> np.ndarray:
+    """``R^T (p - T)`` for every row of the (n, 3) ``points``, returned as a
+    contiguous (3, n) array of x/y/z rows."""
+    rt = pose.rotation.T
+    rows = rt @ points.T
+    rows -= (rt @ pose.translation)[:, None]
+    return rows
+
+
+def register_prepared(
+    target, prepared: PreparedSource
+) -> tuple[RegistrationResult, np.ndarray]:
+    """Best rigid transform taking the prepared source onto ``target``.
+
+    Returns the result and the target mapped back into the source frame,
+    ``R^T (target - T)``, as (3, n) x/y/z rows; its distance to the source
+    is the fit residual. Raises ShapeMismatchError on a length mismatch,
+    NonFiniteInputError on non-finite target coordinates and
+    DegenerateGeometryError when the geometry cannot pin down a rotation.
+    """
+    tgt = _as_point_set(target, "target")
+    n = prepared.rows.shape[1]
+    if tgt.shape[0] != n:
+        raise ShapeMismatchError(
+            f"point sets must have equal lengths, got {tgt.shape[0]} and {n}"
+        )
+    tgt_centroid = prepared.averaging @ tgt
+    # a non-finite coordinate always reaches the centroid (0 * inf is nan)
+    if not np.all(np.isfinite(tgt_centroid)):
+        _require_finite(tgt, "target")
+
+    cross_cov = prepared.centred @ tgt - np.outer(prepared.centred_sum, tgt_centroid)
+    u, sing, vt = np.linalg.svd(cross_cov)
+    # The uncentred product rounds with error up to about n * eps * |src_c| |tgt|;
+    # singular values at that floor are noise, not geometry (a constant target).
+    floor = n * _EPS * prepared.centred_norm * np.sqrt(np.vdot(tgt, tgt))
+    condition = float(sing[2] / sing[0]) if sing[0] > floor else 0.0
+    if condition < DEGENERACY_THRESHOLD:
+        raise DegenerateGeometryError(
+            f"cross-covariance condition {condition:.3e} below {DEGENERACY_THRESHOLD:.0e}; "
+            "source points are (near-)collinear or coincident"
+        )
+    v = vt.T
+    d = np.sign(np.linalg.det(v @ u.T))
+    rotation = v @ np.diag([1.0, 1.0, d]) @ u.T
+    pose = Pose(rotation, tgt_centroid - rotation @ prepared.centroid)
+
+    local = _source_frame_rows(tgt, pose)
+    residuals = local - prepared.rows
+    if prepared.weighted:
+        mean_sq = float(np.vdot(residuals * prepared.averaging, residuals))
+    else:
+        mean_sq = float(np.vdot(residuals, residuals)) / n
+    return RegistrationResult(pose, float(np.sqrt(mean_sq)), condition), local
 
 
 def register(target, source) -> RegistrationResult:
@@ -50,7 +178,8 @@ def register(target, source) -> RegistrationResult:
     Points correspond index-wise. Returns the global minimizer of
     sum_i ||target_i - (R @ source_i + T)||^2 with det(R) = +1.
 
-    Raises ShapeMismatchError for unequal lengths and
+    Raises ShapeMismatchError for unequal lengths,
+    NonFiniteInputError (a ValueError) for non-finite coordinates, and
     DegenerateGeometryError when the source geometry (collinear or
     coincident points) cannot pin down a unique rotation.
     """
@@ -63,53 +192,4 @@ def register_weighted(target, source, weights) -> RegistrationResult:
     ``weights=None`` means uniform. With uniform weights the result matches
     ``register`` to floating-point precision.
     """
-    tgt = _as_point_set(target, "target")
-    src = _as_point_set(source, "source")
-    if tgt.shape[0] != src.shape[0]:
-        raise ShapeMismatchError(
-            f"point sets must have equal lengths, got {tgt.shape[0]} and {src.shape[0]}"
-        )
-    n = src.shape[0]
-    if weights is None:
-        w = None
-        w_sum = float(n)
-        src_centroid = src.mean(axis=0)
-        tgt_centroid = tgt.mean(axis=0)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise ShapeMismatchError(f"weights must have shape ({n},), got {w.shape}")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
-        w_sum = float(w.sum())
-        if w_sum <= 0.0:
-            raise NonPositiveWeightSumError("weights must sum to a positive value")
-        src_centroid = (w[:, None] * src).sum(axis=0) / w_sum
-        tgt_centroid = (w[:, None] * tgt).sum(axis=0) / w_sum
-
-    src_c = src - src_centroid
-    tgt_c = tgt - tgt_centroid
-    if w is None:
-        cross_cov = src_c.T @ tgt_c
-    else:
-        cross_cov = (w[:, None] * src_c).T @ tgt_c
-
-    u, sing, vt = np.linalg.svd(cross_cov)
-    condition = float(sing[2] / sing[0]) if sing[0] > 0.0 else 0.0
-    if condition < DEGENERACY_THRESHOLD:
-        raise DegenerateGeometryError(
-            f"cross-covariance condition {condition:.3e} below {DEGENERACY_THRESHOLD:.0e}; "
-            "source points are (near-)collinear or coincident"
-        )
-    v = vt.T
-    d = np.sign(np.linalg.det(v @ u.T))
-    rotation = v @ np.diag([1.0, 1.0, d]) @ u.T
-    translation = tgt_centroid - rotation @ src_centroid
-
-    residuals = tgt - (src @ rotation.T + translation)
-    sq = np.einsum("ij,ij->i", residuals, residuals)
-    if w is None:
-        rms = float(np.sqrt(sq.mean()))
-    else:
-        rms = float(np.sqrt((w * sq).sum() / w_sum))
-    return RegistrationResult(Pose(rotation, translation), rms, condition)
+    return register_prepared(target, prepare_source(source, weights))[0]

@@ -9,8 +9,8 @@ import pytest
 
 from raxelkit.cli import main
 from raxelkit.geometry import canonicalize, geodesic_rotation_distance, inverse, compose
-from raxelkit.io import load_trajectory, save_raxel, save_trajectory
-from raxelkit.rays import RaxelImage
+from raxelkit.io import load_raxel, load_trajectory, save_raxel, save_trajectory
+from raxelkit.rays import RaxelImage, ray_grid
 
 
 def run(*argv):
@@ -230,6 +230,29 @@ def test_decode_drops_failed_frame_with_warning(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "frame 9" in err
     assert len(load_trajectory(str(out))) == 5  # the 5 healthy frames survive
+
+
+def test_decode_drops_non_finite_frame_with_warning(tmp_path, capsys):
+    traj, grids = _synth_encode(tmp_path)
+    path = str(grids / "frame_2.rxl")
+    image, index = load_raxel(path)
+    data = image.data.copy()
+    data[5, 7, 2] = np.nan
+    save_raxel(path, RaxelImage(data), index)
+    out = tmp_path / "p.traj"
+    assert run("decode", grids, out) == 0
+    assert "frame 2" in capsys.readouterr().err
+    decoded = load_trajectory(str(out))
+    assert [f.index for f in decoded.frames] == [0, 1, 3, 4]
+    assert decoded.reference_index == 0
+
+
+def test_decode_auto_reference_adds_at_most_one_grid_to_cache(tmp_path):
+    # on an arc, several candidates pass the identity-pose focal test
+    _, grids = _synth_encode(tmp_path, kind="arcleft", frames=9)
+    ray_grid.cache_clear()
+    assert run("decode", grids, tmp_path / "p.traj") == 0
+    assert ray_grid.cache_info().currsize <= 1
 
 
 def test_decode_respects_explicit_dims(tmp_path):

@@ -7,6 +7,7 @@ from raxelkit.decode import decode_trajectory, recover_focal, recover_pose
 from raxelkit.errors import (
     DegenerateGeometryError,
     InsufficientInliersError,
+    NonFiniteInputError,
     ShapeMismatchError,
 )
 from raxelkit.geometry import (
@@ -176,6 +177,28 @@ class TestDecodeTrajectory:
         assert isinstance(failures[0].error, DegenerateGeometryError)
         for pos in (0, 1, 3):
             assert geodesic_rotation_distance(decoded[pos].pose, poses[pos]) < 1e-9
+
+    def test_non_finite_frame_reported_not_fatal(self):
+        poses = orbit_poses(5)
+        images = [encode_raxel(FRAME, p) for p in poses]
+        data = images[2].data.copy()
+        data[17, 101, 1] = np.nan
+        images[2] = RaxelImage(data)
+        decoded, failures = decode_trajectory(images, 0, 832, 480)
+        assert [f.position for f in failures] == [2]
+        assert isinstance(failures[0].error, NonFiniteInputError)
+        assert decoded[2] is None
+        for pos in (0, 1, 3, 4):
+            assert geodesic_rotation_distance(decoded[pos].pose, poses[pos]) < 1e-9
+            assert abs(decoded[pos].fx_hat - INTR.fx) / INTR.fx < 1e-6
+
+    def test_non_finite_reference_raises(self):
+        images = [encode_raxel(FRAME, p) for p in orbit_poses(3)]
+        data = images[0].data.copy()
+        data[0, 0, 0] = np.inf
+        images[0] = RaxelImage(data)
+        with pytest.raises(NonFiniteInputError):
+            decode_trajectory(images, 0, 832, 480)
 
     def test_permuting_frames_permutes_outputs(self):
         poses = orbit_poses(5)

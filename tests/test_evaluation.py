@@ -31,7 +31,7 @@ from raxelkit.geometry import (
     inverse,
     random_pose,
 )
-from raxelkit.rays import encode_raxel
+from raxelkit.rays import encode_raxel, ray_grid
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=64.0, cy=48.0, width=128, height=96)
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -378,6 +378,14 @@ class TestCycleConsistency:
         assert np.isfinite(report.mean_rotation_error)
         assert 0.0 <= mrra30 <= 1.0
         assert np.isfinite(residual)
+
+    def test_adds_at_most_one_grid_to_cache(self):
+        # decoded focal lengths are one-shot intrinsics; re-encoding them
+        # must not fill the ray_grid cache
+        t = generate_trajectory(TrajectoryKind.ORBIT, 9, INTR)
+        ray_grid.cache_clear()
+        cycle_consistency_run(t, PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01, seed=2))
+        assert ray_grid.cache_info().currsize <= 1
 
     def test_mixed_intrinsics_rejected(self):
         other = Intrinsics(fx=90.0, fy=90.0, cx=64.0, cy=48.0, width=128, height=96)

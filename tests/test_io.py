@@ -306,6 +306,20 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert len(load_trajectory(path)) == 4
 
 
+@pytest.mark.parametrize("umask", [0o022, 0o002])
+def test_written_files_respect_umask(tmp_path, umask):
+    previous = os.umask(umask)
+    try:
+        traj_path = str(tmp_path / "t.traj")
+        grid_path = str(tmp_path / "f.rxl")
+        save_trajectory(traj_path, _orbit())
+        save_raxel(grid_path, RaxelImage(np.zeros((2, 3, 3))), 0)
+    finally:
+        os.umask(previous)
+    for path in (traj_path, grid_path):
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
 def test_large_frame_index_round_trips(tmp_path):
     path = str(tmp_path / "f.rxl")
     save_raxel(path, RaxelImage(np.zeros((1, 1, 3)) + [0, 0, 1]), 4_000_000_000)
