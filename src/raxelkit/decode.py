@@ -10,11 +10,11 @@ Inverts the raxel encoding in two closed-form steps per frame:
    the estimate. The median makes the estimator immune to up to half
    the pixels being corrupted.
 
-``decode_trajectory`` does both in one pass per frame: the reference
-bundle is prepared for registration once per trajectory, and the
-registration's camera-frame rays (x/y/z rows, ``R^T (p - T)``) feed the
-focal votes directly. ``recover_pose`` and ``recover_focal`` are the
-same steps for a single frame.
+``decode_trajectory`` reduces the reference bundle for registration
+once per trajectory (its centroid and centred x/y/z rows), so each frame
+costs one registration against it and one focal pass over the frame's
+camera-frame rays (x/y/z rows, ``R^T (p - T)``). ``recover_pose`` is the
+pose step for a single frame pair.
 
 The principal point is taken as the image center unless the caller
 supplies one.
@@ -36,10 +36,9 @@ from .geometry import Pose
 from .rays import RaxelImage, grid_pixel_coordinates
 from .registration import (
     RegistrationResult,
+    _prepare_source,
     _source_frame_rows,
-    prepare_source,
     register,
-    register_prepared,
 )
 
 INLIER_EPS = 1e-6
@@ -85,31 +84,41 @@ def _lower_median(values: np.ndarray) -> float:
     return float(np.partition(values, k)[k])
 
 
-def _pixel_offsets(
-    grid_shape: tuple, width: int, height: int, cx: float | None, cy: float | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Grid coordinates u - cx (per column) and v - cy (per row)."""
+def recover_focal(
+    target: RaxelImage,
+    pose: Pose,
+    width: int,
+    height: int,
+    cx: float | None = None,
+    cy: float | None = None,
+) -> tuple[float, float, float]:
+    """Median-of-ratios focal estimate from one raxel image and its pose.
+
+    Subtracts the pose translation, rotates the rays back to the camera
+    frame, and takes per-pixel ratios u*z/x and v*z/y with (u, v) measured
+    from the principal point (image center by default). Pixels whose
+    denominator or z component is within INLIER_EPS of zero are excluded.
+
+    Returns (fx_hat, fy_hat, inlier_fraction) where the fraction is the
+    smaller of the two axes' inlier shares. Raises InsufficientInliersError
+    if either axis keeps fewer than MIN_INLIER_FRACTION of the pixels.
+    """
     if cx is None:
         cx = width / 2.0
     if cy is None:
         cy = height / 2.0
     u, v = grid_pixel_coordinates(width, height)
-    if (v.size, u.size) != tuple(grid_shape[:2]):
+    if (v.size, u.size) != (target.height_r, target.width_r):
         raise ShapeMismatchError(
             f"image dimensions {width}x{height} map to a "
             f"{v.size}x{u.size} grid, but the raxel grid is "
-            f"{grid_shape[0]}x{grid_shape[1]}"
+            f"{target.height_r}x{target.width_r}"
         )
-    return u - cx, v - cy
+    u_c, v_c = u - cx, v - cy
 
-
-def _focal_votes(
-    local: np.ndarray, u_c: np.ndarray, v_c: np.ndarray
-) -> tuple[float, float, float]:
-    """Median-of-ratios focal lengths from camera-frame rays given as
-    (3, n) x/y/z rows over the grid that ``u_c``/``v_c`` span."""
-    shape = (v_c.size, u_c.size)
-    x, y, z = (row.reshape(shape) for row in local)
+    # camera-frame rays as contiguous x/y/z rows
+    local = _source_frame_rows(target.data.reshape(-1, 3), pose)
+    x, y, z = (row.reshape(v.size, u.size) for row in local)
     z_ok = z > INLIER_EPS
     mask_x = z_ok & (np.abs(x) > INLIER_EPS)
     mask_y = z_ok & (np.abs(y) > INLIER_EPS)
@@ -130,30 +139,6 @@ def _focal_votes(
     return fx_hat, fy_hat, min(frac_x, frac_y)
 
 
-def recover_focal(
-    target: RaxelImage,
-    pose: Pose,
-    width: int,
-    height: int,
-    cx: float | None = None,
-    cy: float | None = None,
-) -> tuple[float, float, float]:
-    """Median-of-ratios focal estimate from one raxel image and its pose.
-
-    Subtracts the pose translation, rotates the rays back to the camera
-    frame, and takes per-pixel ratios u*z/x and v*z/y with (u, v) measured
-    from the principal point (image center by default). Pixels whose
-    denominator or z component is within INLIER_EPS of zero are excluded.
-
-    Returns (fx_hat, fy_hat, inlier_fraction) where the fraction is the
-    smaller of the two axes' inlier shares. Raises InsufficientInliersError
-    if either axis keeps fewer than MIN_INLIER_FRACTION of the pixels.
-    """
-    u_c, v_c = _pixel_offsets(target.data.shape, width, height, cx, cy)
-    local = _source_frame_rows(target.data.reshape(-1, 3), pose)
-    return _focal_votes(local, u_c, v_c)
-
-
 def decode_trajectory(
     images: list[RaxelImage],
     reference_index: int,
@@ -164,13 +149,11 @@ def decode_trajectory(
 ) -> tuple[list[DecodedFrame | None], list[DecodeFailure]]:
     """Decode every raxel image against the reference frame's image.
 
-    The reference bundle is prepared for registration once, and each
-    frame's registration hands its camera-frame rays straight to the focal
-    votes, so pose and focal share one pass over the pixels. Frames are
-    solved independently; a frame that is degenerate, has too few focal
-    inliers or contains non-finite pixels is reported in the failure list
-    (with its position) and leaves a None placeholder, without aborting
-    the remaining frames. The reference frame's pose is set to the exact
+    The reference bundle is reduced for registration once and shared by
+    every frame. Frames are solved independently; a frame that is
+    degenerate, has too few focal inliers or contains non-finite pixels is
+    reported in the failure list (with its position) and leaves a None
+    placeholder, without aborting the remaining frames. The reference frame's pose is set to the exact
     identity, not solved; a non-finite reference raises
     NonFiniteInputError, since no frame can be registered against it.
 
@@ -185,8 +168,8 @@ def decode_trajectory(
             raise ShapeMismatchError(
                 f"image {pos} grid {img.data.shape} differs from reference grid {ref_shape}"
             )
-    ref_rows = np.ascontiguousarray(images[reference_index].data.reshape(-1, 3).T)
-    if not np.all(np.isfinite(ref_rows)):
+    ref_points = images[reference_index].data.reshape(-1, 3)
+    if not np.all(np.isfinite(ref_points)):
         raise NonFiniteInputError(
             f"reference image {reference_index} contains non-finite pixels"
         )
@@ -197,14 +180,15 @@ def decode_trajectory(
     for pos, img in enumerate(images):
         try:
             if pos == reference_index:
-                pose, residual, local = Pose.identity(), 0.0, ref_rows
+                pose, residual = Pose.identity(), 0.0
             else:
                 if reference is None:
-                    reference = prepare_source(ref_rows.T)
-                result, local = register_prepared(img.data.reshape(-1, 3), reference)
+                    reference = _prepare_source(ref_points)
+                result = register(img.data.reshape(-1, 3), reference)
                 pose, residual = result.pose, result.rms_residual
-            offsets = _pixel_offsets(ref_shape, width, height, cx, cy)
-            fx_hat, fy_hat, inlier_fraction = _focal_votes(local, *offsets)
+            fx_hat, fy_hat, inlier_fraction = recover_focal(
+                img, pose, width, height, cx=cx, cy=cy
+            )
         except RaxelkitError as err:
             failures.append(DecodeFailure(position=pos, error=err))
             continue

@@ -24,8 +24,8 @@ file gets the mode a plain ``open`` would give it (0666 less the umask).
 from __future__ import annotations
 
 import os
+import secrets
 import struct
-import tempfile
 
 import numpy as np
 
@@ -119,22 +119,16 @@ def parse_trajectory(text: str) -> Trajectory:
         raise TrajectoryParseError(str(err), 1)
 
 
-def _umask() -> int:
-    mask = os.umask(0o022)  # reading the mask means setting it; restored at once
-    os.umask(mask)
-    return mask
-
-
 def _atomic_write(path: str, *chunks) -> None:
     """Write the bytes-like ``chunks`` in order to ``path``, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}~")
+    # created as open() would create it: the kernel applies the umask to 0666
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-            # mkstemp creates 0600; give the file the mode open() would have
-            os.fchmod(fh.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

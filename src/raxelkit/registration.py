@@ -4,13 +4,14 @@ Solves argmin over SE(3) of sum_i w_i ||target_i - (R @ source_i + T)||^2 via
 the Kabsch construction: centroid subtraction, SVD of the cross-covariance,
 and a determinant correction that excludes reflections.
 
-The source side is prepared once (``prepare_source``): its centroid, its
+The source side is reduced once (``_prepare_source``): its centroid, its
 weight-scaled centred points as contiguous x/y/z rows, and their row sums.
 Each target then costs one gemv for its centroid, one gemm for the
 cross-covariance ``src_c^T @ tgt - outer(sum(src_c), centroid_t)`` (the
 target is never centred explicitly), a 3x3 SVD, and one gemm mapping the
 target back into the source frame, from which the residual is a single dot
-product. ``register``/``register_weighted`` prepare and register in one call.
+product. ``register`` also accepts an already prepared source, so a
+trajectory decode reduces its reference once for all frames.
 """
 
 from __future__ import annotations
@@ -48,13 +49,14 @@ class RegistrationResult:
 
 
 @dataclass(frozen=True, eq=False)
-class PreparedSource:
+class _PreparedSource:
     """A source point set reduced once for registering many targets.
 
     ``rows`` is the source as a contiguous (3, n) array of x/y/z rows,
-    ``centred`` the weight-scaled centred rows ``w_i (s_i - centroid)``,
-    ``averaging`` the gemv vector ``w / sum(w)`` that yields a weighted
-    centroid, and ``weighted`` whether the weights are non-uniform.
+    ``centred`` the weight-scaled centred rows ``w_i (s_i - centroid)``
+    with their row sums and Frobenius norm, ``averaging`` the gemv vector
+    ``w / sum(w)`` that yields a weighted centroid, and ``weighted``
+    whether per-point weights were given.
     """
 
     rows: np.ndarray
@@ -80,9 +82,9 @@ def _require_finite(pts: np.ndarray, name: str) -> None:
         raise NonFiniteInputError(f"{name} contains non-finite coordinates")
 
 
-def prepare_source(source, weights=None) -> PreparedSource:
+def _prepare_source(source, weights=None) -> _PreparedSource:
     """Reduce ``source`` (and optional per-point ``weights``) for
-    ``register_prepared``. Raises as ``register_weighted`` does for a bad
+    ``_register_prepared``. Raises as ``register_weighted`` does for a bad
     source or bad weights."""
     src = _as_point_set(source, "source")
     _require_finite(src, "source")
@@ -105,7 +107,7 @@ def prepare_source(source, weights=None) -> PreparedSource:
     centred = rows - centroid[:, None]
     if w is not None:
         centred *= w
-    return PreparedSource(
+    return _PreparedSource(
         rows=rows,
         centroid=centroid,
         centred=centred,
@@ -125,16 +127,12 @@ def _source_frame_rows(points: np.ndarray, pose: Pose) -> np.ndarray:
     return rows
 
 
-def register_prepared(
-    target, prepared: PreparedSource
-) -> tuple[RegistrationResult, np.ndarray]:
+def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
     """Best rigid transform taking the prepared source onto ``target``.
 
-    Returns the result and the target mapped back into the source frame,
-    ``R^T (target - T)``, as (3, n) x/y/z rows; its distance to the source
-    is the fit residual. Raises ShapeMismatchError on a length mismatch,
-    NonFiniteInputError on non-finite target coordinates and
-    DegenerateGeometryError when the geometry cannot pin down a rotation.
+    Raises ShapeMismatchError on a length mismatch, NonFiniteInputError on
+    non-finite target coordinates and DegenerateGeometryError when the
+    geometry cannot pin down a rotation.
     """
     tgt = _as_point_set(target, "target")
     n = prepared.rows.shape[1]
@@ -163,13 +161,13 @@ def register_prepared(
     rotation = v @ np.diag([1.0, 1.0, d]) @ u.T
     pose = Pose(rotation, tgt_centroid - rotation @ prepared.centroid)
 
-    local = _source_frame_rows(tgt, pose)
-    residuals = local - prepared.rows
+    residuals = _source_frame_rows(tgt, pose)
+    residuals -= prepared.rows
     if prepared.weighted:
         mean_sq = float(np.vdot(residuals * prepared.averaging, residuals))
     else:
         mean_sq = float(np.vdot(residuals, residuals)) / n
-    return RegistrationResult(pose, float(np.sqrt(mean_sq)), condition), local
+    return RegistrationResult(pose, float(np.sqrt(mean_sq)), condition)
 
 
 def register(target, source) -> RegistrationResult:
@@ -182,8 +180,13 @@ def register(target, source) -> RegistrationResult:
     NonFiniteInputError (a ValueError) for non-finite coordinates, and
     DegenerateGeometryError when the source geometry (collinear or
     coincident points) cannot pin down a unique rotation.
+
+    ``source`` may also be a source already reduced by ``_prepare_source``,
+    for registering many targets against one source.
     """
-    return register_weighted(target, source, None)
+    if not isinstance(source, _PreparedSource):
+        source = _prepare_source(source)
+    return _register_prepared(target, source)
 
 
 def register_weighted(target, source, weights) -> RegistrationResult:
@@ -192,4 +195,4 @@ def register_weighted(target, source, weights) -> RegistrationResult:
     ``weights=None`` means uniform. With uniform weights the result matches
     ``register`` to floating-point precision.
     """
-    return register_prepared(target, prepare_source(source, weights))[0]
+    return _register_prepared(target, _prepare_source(source, weights))
