@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import io as rkio
-from .decode import decode_trajectory, recover_focal
+from .decode import decode_trajectory, decoded_trajectory, recover_focal
 from .errors import (
     DegenerateGeometryError,
     InsufficientInliersError,
@@ -36,14 +36,8 @@ from .evaluation import (
     pose_errors,
     reverse_trajectory,
 )
-from .geometry import (
-    CameraFrame,
-    Intrinsics,
-    Pose,
-    Trajectory,
-    canonicalize,
-)
-from .rays import encode_plucker, encode_raxel, encode_raymap, unit_ray_grid
+from .geometry import Intrinsics, Pose, canonicalize
+from .rays import GridKind, encode_plucker, encode_raxel, encode_raymap, unit_ray_grid
 from .registration import register
 
 CSV_HEADER = (
@@ -65,10 +59,7 @@ _NOISE_BY_NAME = {
     "quantize": PerturbationKind.UNIFORM_QUANTIZE,
     "dropout": PerturbationKind.PIXEL_DROPOUT,
 }
-
-
-def _g(x: float) -> str:
-    return format(float(x), ".17g")
+_GEOMETRIC_ERRORS = (DegenerateGeometryError, InsufficientInliersError)
 
 
 def _default_intrinsics(width: int, height: int, fov_deg: float) -> Intrinsics:
@@ -83,15 +74,17 @@ def _default_intrinsics(width: int, height: int, fov_deg: float) -> Intrinsics:
 def cmd_encode(args) -> int:
     trajectory = rkio.load_trajectory(args.trajectory)
     canonical = canonicalize(trajectory, trajectory.reference_index)
+    # the table is built per call, so it holds this module's current bindings
+    # of the encoders (the benchmark's tracer wraps them to time each layer)
+    encode = {
+        GridKind.RAXEL: encode_raxel,
+        GridKind.PLUCKER: encode_plucker,
+        GridKind.RAYMAP: encode_raymap,
+    }[GridKind(args.representation)]
     os.makedirs(args.out_dir, exist_ok=True)
     for frame in canonical.frames:
         path = os.path.join(args.out_dir, f"frame_{frame.index}.rxl")
-        if args.representation == "raxel":
-            rkio.save_raxel(path, encode_raxel(frame, frame.pose), frame.index)
-        elif args.representation == "plucker":
-            rkio.save_raymap(path, encode_plucker(frame, frame.pose), frame.index)
-        else:
-            rkio.save_raymap(path, encode_raymap(frame, frame.pose), frame.index)
+        rkio.save_raxel(path, encode(frame, frame.pose), frame.index)
     return 0
 
 
@@ -147,6 +140,13 @@ def cmd_decode(args) -> int:
 
     width = args.width if args.width is not None else 2 * shape[1]
     height = args.height if args.height is not None else 2 * shape[0]
+    if (height // 2, width // 2) != shape[:2]:
+        print(
+            f"error: a {width}x{height} image maps to a {height // 2}x{width // 2} "
+            f"grid, but the grids are {shape[0]}x{shape[1]}",
+            file=sys.stderr,
+        )
+        return 2
 
     if args.reference is not None:
         if args.reference not in indices:
@@ -169,29 +169,7 @@ def cmd_decode(args) -> int:
         print("error: all frames degenerate", file=sys.stderr)
         return 4
 
-    frames = []
-    for idx, d in zip(indices, decoded):
-        if d is None:
-            continue
-        frames.append(
-            CameraFrame(
-                intrinsics=Intrinsics(
-                    fx=d.fx_hat,
-                    fy=d.fy_hat,
-                    cx=width / 2.0,
-                    cy=height / 2.0,
-                    width=width,
-                    height=height,
-                ),
-                pose=d.pose,
-                index=idx,
-            )
-        )
-    kept_positions = [pos for pos, d in enumerate(decoded) if d is not None]
-    trajectory = Trajectory(
-        frames=tuple(frames),
-        reference_index=kept_positions.index(reference_pos),
-    )
+    trajectory = decoded_trajectory(decoded, indices, reference_pos, width, height)
     rkio.save_trajectory(args.out_trajectory, trajectory)
     return 0
 
@@ -203,19 +181,39 @@ def _cycle_report(trajectory, kind_name: str, magnitude: float, seed: int):
     return cycle_consistency_run(trajectory, spec)
 
 
-def _append_csv_row(path: str, row: str) -> None:
-    if os.path.exists(path):
-        with open(path, "r", encoding="ascii") as fh:
-            content = fh.read()
-        if not content.endswith("\n"):
-            content += "\n"
-    else:
-        content = CSV_HEADER + "\n"
-    rkio._atomic_write(path, (content + row + "\n").encode("ascii"))
+def _csv_row(kind: str, frames: int, magnitude: float, seed: int,
+             report, mrra30: float, residual: float) -> str:
+    metrics = (report.mean_rotation_error, report.mean_translation_error, mrra30, residual)
+    fields = [kind, str(frames), rkio._fmt(magnitude), str(seed)]
+    return ",".join(fields + [rkio._fmt(x) for x in metrics])
+
+
+def _existing_cells(path: str) -> tuple[list[str], set]:
+    """Rows (without header) and their cell keys from a previous run."""
+    if not os.path.exists(path):
+        return [], set()
+    with open(path, "r", encoding="ascii") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError(f"{path} does not start with the expected CSV header")
+    rows = lines[1:]
+    keys = set()
+    for row in rows:
+        cols = row.split(",")
+        if len(cols) != 8:
+            raise ValueError(f"malformed CSV row: {row!r}")
+        keys.add((cols[0], cols[1], rkio._fmt(float(cols[2])), cols[3]))
+    return rows, keys
+
+
+def _write_csv(path: str, rows: list[str]) -> None:
+    content = "\n".join([CSV_HEADER] + rows) + "\n"
+    rkio._atomic_write(path, content.encode("ascii"))
 
 
 def cmd_roundtrip(args) -> int:
     trajectory = rkio.load_trajectory(args.trajectory)
+    rows = _existing_cells(args.csv)[0] if args.csv else []
     report, mrra30, residual = _cycle_report(
         trajectory, args.noise_kind, args.magnitude, args.seed
     )
@@ -225,19 +223,10 @@ def cmd_roundtrip(args) -> int:
     print(f"reencode_residual={residual:.6f}")
     if args.csv:
         stem = os.path.splitext(os.path.basename(args.trajectory))[0]
-        row = ",".join(
-            [
-                stem,
-                str(len(trajectory)),
-                _g(args.magnitude),
-                str(args.seed),
-                _g(report.mean_rotation_error),
-                _g(report.mean_translation_error),
-                _g(mrra30),
-                _g(residual),
-            ]
+        rows.append(
+            _csv_row(stem, len(trajectory), args.magnitude, args.seed, report, mrra30, residual)
         )
-        _append_csv_row(args.csv, row)
+        _write_csv(args.csv, rows)
     return 0
 
 
@@ -270,7 +259,6 @@ def cmd_synth(args) -> int:
         args.frames,
         intrinsics,
         scale=args.radius,
-        rng_seed=args.seed,
     )
     if args.reverse:
         trajectory = reverse_trajectory(trajectory)
@@ -281,25 +269,7 @@ def cmd_synth(args) -> int:
 # ------------------------------------------------------------------ bench
 
 def _bench_cell_key(kind: str, frames: int, magnitude: float, seed: int) -> tuple:
-    return (kind, str(frames), _g(magnitude), str(seed))
-
-
-def _existing_cells(path: str) -> tuple[list[str], set]:
-    """Rows (without header) and their cell keys from a previous run."""
-    if not os.path.exists(path):
-        return [], set()
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError(f"{path} does not start with the expected CSV header")
-    rows = lines[1:]
-    keys = set()
-    for row in rows:
-        cols = row.split(",")
-        if len(cols) != 8:
-            raise ValueError(f"malformed CSV row: {row!r}")
-        keys.add((cols[0], cols[1], _g(float(cols[2])), cols[3]))
-    return rows, keys
+    return (kind, str(frames), rkio._fmt(magnitude), str(seed))
 
 
 def cmd_bench(args) -> int:
@@ -321,22 +291,10 @@ def cmd_bench(args) -> int:
                     trajectory_by_kind, args.noise_kind, magnitude, seed
                 )
                 rows.append(
-                    ",".join(
-                        [
-                            kind_name,
-                            str(args.frames),
-                            _g(magnitude),
-                            str(seed),
-                            _g(report.mean_rotation_error),
-                            _g(report.mean_translation_error),
-                            _g(mrra30),
-                            _g(residual),
-                        ]
-                    )
+                    _csv_row(kind_name, args.frames, magnitude, seed, report, mrra30, residual)
                 )
                 have.add(key)
-    content = "\n".join([CSV_HEADER] + rows) + "\n"
-    rkio._atomic_write(args.out, content.encode("ascii"))
+    _write_csv(args.out, rows)
     return 0
 
 
@@ -355,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("out_dir")
     enc.add_argument(
         "--representation",
-        choices=("raxel", "plucker", "raymap"),
-        default="raxel",
+        choices=[kind.value for kind in GridKind],
+        default=GridKind.RAXEL.value,
     )
     enc.set_defaults(func=cmd_encode)
 
@@ -394,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="horizontal field of view in degrees")
     syn.add_argument("--width", type=int, default=DEFAULT_WIDTH)
     syn.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
-    syn.add_argument("--seed", type=int, default=0)
     syn.add_argument("--reverse", action="store_true",
                      help="traverse the path backwards")
     syn.set_defaults(func=cmd_synth)
@@ -419,25 +376,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(err: Exception) -> int:
+    """4 for geometric degeneracy (also as the cause of a raxelkit error),
+    3 for I/O failure, 2 for any other bad input."""
+    if isinstance(err, _GEOMETRIC_ERRORS) or (
+        isinstance(err, RaxelkitError) and isinstance(err.__cause__, _GEOMETRIC_ERRORS)
+    ):
+        return 4
+    if isinstance(err, (RaxelkitError, ValueError, IndexError)):
+        return 2
+    return 3
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DegenerateGeometryError, InsufficientInliersError) as err:
+    except (RaxelkitError, ValueError, IndexError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return 4
-    except RaxelkitError as err:
-        if isinstance(err.__cause__, (DegenerateGeometryError, InsufficientInliersError)):
-            print(f"error: {err}", file=sys.stderr)
-            return 4
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, IndexError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
+        return _exit_code(err)
 
 
 if __name__ == "__main__":

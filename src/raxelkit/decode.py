@@ -14,10 +14,11 @@ Inverts the raxel encoding in two closed-form steps per frame:
 once per trajectory (its centroid and centred x/y/z rows), so each frame
 costs one registration against it and one focal pass over the frame's
 camera-frame rays (x/y/z rows, ``R^T (p - T)``). ``recover_pose`` is the
-pose step for a single frame pair.
+pose step for a single frame pair. Only ``GridKind.RAXEL`` grids decode.
 
 The principal point is taken as the image center unless the caller
-supplies one.
+supplies one; ``decoded_trajectory`` turns decoded frames into a
+``Trajectory`` with it there.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .errors import (
     RaxelkitError,
     ShapeMismatchError,
 )
-from .geometry import Pose
-from .rays import RaxelImage, grid_pixel_coordinates
+from .geometry import CameraFrame, Intrinsics, Pose, Trajectory
+from .rays import GridKind, RayGrid, grid_pixel_coordinates
 from .registration import (
     RegistrationResult,
     _prepare_source,
@@ -64,14 +65,23 @@ class DecodeFailure:
     error: RaxelkitError
 
 
-def recover_pose(target: RaxelImage, reference: RaxelImage) -> RegistrationResult:
+def _require_raxel(grid: RayGrid, name: str) -> None:
+    if grid.kind is not GridKind.RAXEL:
+        raise ShapeMismatchError(
+            f"{name} is a {grid.kind.value} grid; only raxel grids decode"
+        )
+
+
+def recover_pose(target: RayGrid, reference: RayGrid) -> RegistrationResult:
     """Rigid transform taking the reference raxel bundle onto the target's.
 
     When the reference image is the canonical frame (identity pose), the
     recovered pose is the target frame's relative pose. Raises
-    ShapeMismatchError on differing grids and DegenerateGeometryError when
-    the bundles do not pin down a rotation.
+    ShapeMismatchError on differing or non-raxel grids and
+    DegenerateGeometryError when the bundles do not pin down a rotation.
     """
+    _require_raxel(target, "the target")
+    _require_raxel(reference, "the reference")
     if target.data.shape != reference.data.shape:
         raise ShapeMismatchError(
             f"raxel grids differ: {target.data.shape} vs {reference.data.shape}"
@@ -85,7 +95,7 @@ def _lower_median(values: np.ndarray) -> float:
 
 
 def recover_focal(
-    target: RaxelImage,
+    target: RayGrid,
     pose: Pose,
     width: int,
     height: int,
@@ -101,8 +111,11 @@ def recover_focal(
 
     Returns (fx_hat, fy_hat, inlier_fraction) where the fraction is the
     smaller of the two axes' inlier shares. Raises InsufficientInliersError
-    if either axis keeps fewer than MIN_INLIER_FRACTION of the pixels.
+    if either axis keeps fewer than MIN_INLIER_FRACTION of the pixels, and
+    ShapeMismatchError for a grid that is not a raxel image or does not
+    match the image dimensions.
     """
+    _require_raxel(target, "the target")
     if cx is None:
         cx = width / 2.0
     if cy is None:
@@ -140,7 +153,7 @@ def recover_focal(
 
 
 def decode_trajectory(
-    images: list[RaxelImage],
+    images: list[RayGrid],
     reference_index: int,
     width: int,
     height: int,
@@ -153,9 +166,10 @@ def decode_trajectory(
     every frame. Frames are solved independently; a frame that is
     degenerate, has too few focal inliers or contains non-finite pixels is
     reported in the failure list (with its position) and leaves a None
-    placeholder, without aborting the remaining frames. The reference frame's pose is set to the exact
-    identity, not solved; a non-finite reference raises
-    NonFiniteInputError, since no frame can be registered against it.
+    placeholder, without aborting the remaining frames. The reference
+    frame's pose is set to the exact identity, not solved; a non-finite
+    reference raises NonFiniteInputError, since no frame can be registered
+    against it. A grid that is not a raxel image raises ShapeMismatchError.
 
     Returns (decoded, failures) where decoded matches the input order.
     """
@@ -164,6 +178,7 @@ def decode_trajectory(
         raise IndexError(f"reference_index {reference_index} out of range for {n} images")
     ref_shape = images[reference_index].data.shape
     for pos, img in enumerate(images):
+        _require_raxel(img, f"image {pos}")
         if img.data.shape != ref_shape:
             raise ShapeMismatchError(
                 f"image {pos} grid {img.data.shape} differs from reference grid {ref_shape}"
@@ -200,3 +215,33 @@ def decode_trajectory(
             inlier_fraction=inlier_fraction,
         )
     return decoded, failures
+
+
+def decoded_trajectory(
+    decoded: list[DecodedFrame | None],
+    indices: list[int],
+    reference_position: int,
+    width: int,
+    height: int,
+) -> Trajectory:
+    """The decoded frames as a trajectory, with the principal point at the
+    image center.
+
+    Failed frames (None) are dropped; the others keep their frame indices,
+    and the reference index follows the reference frame. Raises ValueError
+    when the reference frame itself failed.
+    """
+    if decoded[reference_position] is None:
+        raise ValueError(f"reference frame {indices[reference_position]} failed to decode")
+    frames = tuple(
+        CameraFrame(
+            intrinsics=Intrinsics(fx=d.fx_hat, fy=d.fy_hat, cx=width / 2.0,
+                                  cy=height / 2.0, width=width, height=height),
+            pose=d.pose,
+            index=index,
+        )
+        for d, index in zip(decoded, indices)
+        if d is not None
+    )
+    failed_before = decoded[:reference_position].count(None)
+    return Trajectory(frames=frames, reference_index=reference_position - failed_before)

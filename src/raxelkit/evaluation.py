@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decode import decode_trajectory
+from .decode import decode_trajectory, decoded_trajectory
 from .errors import (
     LengthMismatchError,
     RaxelkitError,
@@ -32,7 +32,13 @@ from .geometry import (
     geodesic_rotation_distance,
     rotation_angle,
 )
-from .rays import RaxelImage, _raxel_data, encode_trajectory_raxels, unit_ray_grid
+from .rays import (
+    RayGrid,
+    _frozen_grid,
+    _raxel_data,
+    encode_trajectory_raxels,
+    unit_ray_grid,
+)
 
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -152,16 +158,13 @@ def generate_trajectory(
     frame_count: int,
     intrinsics: Intrinsics,
     scale: float = 2.0,
-    rng_seed: int = 0,
 ) -> Trajectory:
     """Synthetic camera path of the requested kind, canonicalized to frame 0.
 
     ``scale`` is the circle radius for the arc and orbit kinds and the total
     path length for the line kind; the still kind ignores it. The arcs sweep
     a quarter circle at uniform angular speed while looking at the scene
-    center; the orbit is a full uniform circle. All kinds are closed-form
-    and seed-independent; ``rng_seed`` is accepted so that callers can treat
-    every generator uniformly, and for future jittered variants.
+    center; the orbit is a full uniform circle. All kinds are closed-form.
     """
     if frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
@@ -207,36 +210,30 @@ def reverse_trajectory(t: Trajectory) -> Trajectory:
     return Trajectory(frames=frames, reference_index=n - 1 - t.reference_index)
 
 
-def _image(data: np.ndarray) -> RaxelImage:
-    """Wrap a freshly computed array, sparing RaxelImage's defensive copy."""
-    data.flags.writeable = False
-    return RaxelImage(data)
-
-
-def perturb(image: RaxelImage, spec: PerturbationSpec) -> RaxelImage:
+def perturb(image: RayGrid, spec: PerturbationSpec) -> RayGrid:
     """Damaged copy of a raxel image, per the given perturbation settings."""
     rng = np.random.default_rng(spec.seed)
     data = image.data
     if spec.kind is PerturbationKind.GAUSSIAN_PER_PIXEL:
         noisy = rng.normal(0.0, spec.magnitude, data.shape)
         noisy += data
-        return _image(noisy)
+        return _frozen_grid(noisy)
     if spec.kind is PerturbationKind.UNIFORM_QUANTIZE:
         lo = float(data.min())
         span = float(data.max()) - lo
         if span == 0.0:
-            return _image(data.copy())
+            return _frozen_grid(data.copy())
         levels = 2 ** int(spec.magnitude)
         step = span / levels
         bins = np.clip(np.floor((data - lo) / step), 0, levels - 1)
-        return _image(lo + (bins + 0.5) * step)
+        return _frozen_grid(lo + (bins + 0.5) * step)
     # pixel dropout: a seeded pixel subset collapses to the image mean
     flat = data.reshape(-1, 3).copy()
     count = int(round(spec.magnitude * flat.shape[0]))
     if count:
         chosen = rng.choice(flat.shape[0], size=count, replace=False)
         flat[chosen] = data.reshape(-1, 3).mean(axis=0)
-    return _image(flat.reshape(data.shape))
+    return _frozen_grid(flat.reshape(data.shape))
 
 
 def _frame_seeds(seed: int, count: int) -> np.ndarray:
@@ -274,22 +271,13 @@ def cycle_consistency_run(
             f"frame {first.position} failed to decode: {first.error}"
         ) from first.error
 
-    predicted_frames = tuple(
-        CameraFrame(
-            intrinsics=Intrinsics(
-                fx=d.fx_hat,
-                fy=d.fy_hat,
-                cx=intr.width / 2.0,
-                cy=intr.height / 2.0,
-                width=intr.width,
-                height=intr.height,
-            ),
-            pose=d.pose,
-            index=frame.index,
-        )
-        for d, frame in zip(decoded, canonical.frames)
+    predicted = decoded_trajectory(
+        decoded,
+        [f.index for f in canonical.frames],
+        canonical.reference_index,
+        intr.width,
+        intr.height,
     )
-    predicted = Trajectory(frames=predicted_frames, reference_index=canonical.reference_index)
 
     report = pose_errors(predicted, canonical)
     mrra30 = mrra(predicted, canonical, tau=30.0)

@@ -11,10 +11,12 @@ Reals carry 17 significant digits, which reproduces 64-bit floats exactly,
 so saving and loading is lossless. On load, rotations are accepted up to an
 orthonormality drift of 1e-6 and polar-projected back onto a rotation.
 
-Ray grid binary format: 4-byte magic (``RXL1`` for 3-channel raxel images,
-``RXM1`` for 6-channel maps), three little-endian uint32 fields (height_r,
-width_r, frame_index), then the row-major, channel-interleaved float64
-payload. File length is checked exactly.
+Ray grid binary format: 4-byte magic, picked by the grid kind's channel
+count (``RXL1`` for 3-channel raxel images, ``RXM1`` for 6-channel maps),
+three little-endian uint32 fields (height_r, width_r, frame_index), then
+the row-major, channel-interleaved float64 payload. File length is checked
+exactly. ``save_raxel``/``load_raxel`` handle every kind; the file does not
+record which 6-channel layout was saved, so the loader takes the kind.
 
 All writers stage to a temporary file in the target directory and rename,
 so a partially written file is never observable under the target name. The
@@ -31,12 +33,13 @@ import numpy as np
 
 from .errors import RaxelFileError, TrajectoryParseError
 from .geometry import CameraFrame, Intrinsics, Pose, Trajectory
-from .rays import RaxelImage, RayMap6, RayMapKind
+from .rays import GridKind, RayGrid
 
 TRAJ_HEADER_TAG = "raxelkit-traj"
 TRAJ_VERSION = "v1"
 RAXEL_MAGIC = b"RXL1"
 RAYMAP_MAGIC = b"RXM1"
+_MAGIC_BY_CHANNELS = {3: RAXEL_MAGIC, 6: RAYMAP_MAGIC}
 _HEADER_STRUCT = struct.Struct("<III")
 LOAD_POSE_DRIFT = 1e-6
 
@@ -145,14 +148,21 @@ def load_trajectory(path: str) -> Trajectory:
         return parse_trajectory(fh.read())
 
 
-def _pack_grid(magic: bytes, data: np.ndarray, frame_index: int) -> tuple:
-    """Header bytes and the payload array, written without copying it."""
-    h, w = data.shape[:2]
-    header = magic + _HEADER_STRUCT.pack(h, w, frame_index)
-    return header, np.ascontiguousarray(data, dtype="<f8")
+def save_raxel(path: str, grid: RayGrid, frame_index: int) -> None:
+    """Write a grid of any kind; the payload is written without copying."""
+    header = _MAGIC_BY_CHANNELS[grid.kind.channels] + _HEADER_STRUCT.pack(
+        grid.height_r, grid.width_r, frame_index
+    )
+    _atomic_write(path, header, np.ascontiguousarray(grid.data, dtype="<f8"))
 
 
-def _unpack_grid(blob: bytes, magic: bytes, channels: int, path: str):
+def load_raxel(path: str, kind: GridKind = GridKind.RAXEL) -> tuple[RayGrid, int]:
+    """Read a grid of the stated ``kind``; raises RaxelFileError when the
+    magic or the exact file length does not fit it."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    channels = kind.channels
+    magic = _MAGIC_BY_CHANNELS[channels]
     if len(blob) < 16 or blob[:4] != magic:
         raise RaxelFileError(f"{path}: bad magic, expected {magic!r}")
     h, w, frame_index = _HEADER_STRUCT.unpack(blob[4:16])
@@ -162,29 +172,11 @@ def _unpack_grid(blob: bytes, magic: bytes, channels: int, path: str):
             f"{path}: payload is {len(blob)} bytes, expected exactly {expected} "
             f"for a {h}x{w}x{channels} grid"
         )
+    # a read-only view of the immutable blob, so RayGrid keeps it uncopied
     data = np.frombuffer(blob, dtype="<f8", offset=16).reshape(h, w, channels)
-    return data.astype(float), frame_index
+    return RayGrid(data, kind), frame_index
 
 
-def save_raxel(path: str, image: RaxelImage, frame_index: int) -> None:
-    _atomic_write(path, *_pack_grid(RAXEL_MAGIC, image.data, frame_index))
-
-
-def load_raxel(path: str) -> tuple[RaxelImage, int]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    data, frame_index = _unpack_grid(blob, RAXEL_MAGIC, 3, path)
-    return RaxelImage(data), frame_index
-
-
-def save_raymap(path: str, raymap: RayMap6, frame_index: int) -> None:
-    _atomic_write(path, *_pack_grid(RAYMAP_MAGIC, raymap.data, frame_index))
-
-
-def load_raymap(path: str, kind: RayMapKind) -> tuple[RayMap6, int]:
-    """Load a 6-channel map; the format does not record which layout was
-    saved, so the caller states the kind it expects."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    data, frame_index = _unpack_grid(blob, RAYMAP_MAGIC, 6, path)
-    return RayMap6(data, kind), frame_index
+# earlier names of the merged save/load pair, kept importable
+save_raymap = save_raxel
+load_raymap = load_raxel

@@ -1,7 +1,8 @@
 """Dense camera-ray encodings over a half-resolution pixel grid.
 
 Three encodings of one camera frame, all sharing the same unprojected ray
-field:
+field. Each is a ``RayGrid`` whose ``GridKind`` names the layout and fixes
+the channel count:
 
 * raxel image  -- 3 channels per pixel: world ray direction plus camera
   origin, ``R @ d_cam + T``. Lossless for poses and (up to the principal
@@ -28,48 +29,33 @@ import numpy as np
 from .geometry import CameraFrame, Intrinsics, Pose, Trajectory, canonicalize
 
 
-@dataclass(frozen=True, eq=False)
-class RaxelImage:
-    """Half-resolution grid of 3-vectors, one ray-plus-origin sum per pixel."""
+class GridKind(enum.Enum):
+    """Which encoding a ray grid holds; owns the channel count."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.data, dtype=float)
-        if d.ndim != 3 or d.shape[2] != 3 or d.shape[0] < 1 or d.shape[1] < 1:
-            raise ValueError(f"raxel data must have shape (H_r, W_r, 3), got {d.shape}")
-        if not d.flags.writeable:
-            object.__setattr__(self, "data", d)
-        else:
-            d = d.copy()
-            d.flags.writeable = False
-            object.__setattr__(self, "data", d)
-
-    @property
-    def height_r(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def width_r(self) -> int:
-        return self.data.shape[1]
-
-
-class RayMapKind(enum.Enum):
+    RAXEL = "raxel"
     PLUCKER = "plucker"
     RAYMAP = "raymap"
 
+    @property
+    def channels(self) -> int:
+        return 3 if self is GridKind.RAXEL else 6
+
 
 @dataclass(frozen=True, eq=False)
-class RayMap6:
-    """Half-resolution grid of 6-vectors; layout depends on ``kind``."""
+class RayGrid:
+    """Immutable half-resolution grid of ray vectors; ``kind`` fixes the
+    layout and the channel count."""
 
     data: np.ndarray
-    kind: RayMapKind
+    kind: GridKind = GridKind.RAXEL
 
     def __post_init__(self):
         d = np.asarray(self.data, dtype=float)
-        if d.ndim != 3 or d.shape[2] != 6:
-            raise ValueError(f"ray map data must have shape (H_r, W_r, 6), got {d.shape}")
+        c = self.kind.channels
+        if d.ndim != 3 or d.shape[2] != c or d.shape[0] < 1 or d.shape[1] < 1:
+            raise ValueError(
+                f"{self.kind.value} data must have shape (H_r, W_r, {c}), got {d.shape}"
+            )
         if d.flags.writeable:
             d = d.copy()
             d.flags.writeable = False
@@ -82,6 +68,18 @@ class RayMap6:
     @property
     def width_r(self) -> int:
         return self.data.shape[1]
+
+
+# earlier names of the merged grid type and its kind, kept importable
+RaxelImage = RayGrid
+RayMap6 = RayGrid
+RayMapKind = GridKind
+
+
+def _frozen_grid(data: np.ndarray, kind: GridKind = GridKind.RAXEL) -> RayGrid:
+    """Wrap a freshly computed array, sparing RayGrid's defensive copy."""
+    data.flags.writeable = False
+    return RayGrid(data, kind)
 
 
 def grid_pixel_coordinates(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,33 +136,27 @@ def _raxel_data(dirs: np.ndarray, pose: Pose) -> np.ndarray:
     return data
 
 
-def encode_raxel(frame: CameraFrame, pose_rel: Pose) -> RaxelImage:
+def encode_raxel(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     """Raxel image of ``frame`` at relative pose ``pose_rel``: per pixel,
     world direction R_rel @ d_cam plus origin T_rel."""
-    data = _raxel_data(ray_grid(frame.intrinsics), pose_rel)
-    data.flags.writeable = False
-    return RaxelImage(data)
+    return _frozen_grid(_raxel_data(ray_grid(frame.intrinsics), pose_rel))
 
 
-def encode_plucker(frame: CameraFrame, pose_rel: Pose) -> RayMap6:
+def encode_plucker(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     """Plucker line map: channels [direction, direction x origin]."""
     d = _world_directions(ray_grid(frame.intrinsics), pose_rel.rotation)
     moment = np.cross(d, np.broadcast_to(pose_rel.translation, d.shape))
-    data = np.concatenate([d, moment], axis=2)
-    data.flags.writeable = False
-    return RayMap6(data, RayMapKind.PLUCKER)
+    return _frozen_grid(np.concatenate([d, moment], axis=2), GridKind.PLUCKER)
 
 
-def encode_raymap(frame: CameraFrame, pose_rel: Pose) -> RayMap6:
+def encode_raymap(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     """Raymap: channels [origin, direction] with the origin constant per frame."""
     d = _world_directions(ray_grid(frame.intrinsics), pose_rel.rotation)
     origin = np.broadcast_to(pose_rel.translation, d.shape)
-    data = np.concatenate([origin, d], axis=2)
-    data.flags.writeable = False
-    return RayMap6(data, RayMapKind.RAYMAP)
+    return _frozen_grid(np.concatenate([origin, d], axis=2), GridKind.RAYMAP)
 
 
-def encode_trajectory_raxels(trajectory: Trajectory) -> list[RaxelImage]:
+def encode_trajectory_raxels(trajectory: Trajectory) -> list[RayGrid]:
     """Canonicalize to the trajectory's reference index and encode every frame."""
     canonical = canonicalize(trajectory, trajectory.reference_index)
     return [encode_raxel(f, f.pose) for f in canonical.frames]

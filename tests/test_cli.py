@@ -7,7 +7,15 @@ import sys
 import numpy as np
 import pytest
 
+from raxelkit import cli
 from raxelkit.cli import main
+from raxelkit.errors import (
+    DegenerateGeometryError,
+    InsufficientInliersError,
+    NonFiniteInputError,
+    RaxelkitError,
+    TrajectoryParseError,
+)
 from raxelkit.geometry import canonicalize, geodesic_rotation_distance, inverse, compose
 from raxelkit.io import load_raxel, load_trajectory, save_raxel, save_trajectory
 from raxelkit.rays import RaxelImage, ray_grid
@@ -84,6 +92,19 @@ def test_encode_plucker_and_raymap_magic(tmp_path):
         assert run("encode", traj, out, "--representation", rep) == 0
         for name in os.listdir(out):
             assert _read(out / name)[:4] == b"RXM1"
+
+
+def test_encode_looks_encoders_up_through_the_module(tmp_path, monkeypatch):
+    # wrappers installed on the cli module's bindings, as a tracer does, see every frame
+    calls = []
+    original = cli.encode_plucker
+    monkeypatch.setattr(
+        cli, "encode_plucker", lambda frame, pose: calls.append(frame.index) or original(frame, pose)
+    )
+    traj = tmp_path / "t.traj"
+    run("synth", "orbit", 4, traj, "--width", 64, "--height", 48)
+    assert run("encode", traj, tmp_path / "g", "--representation", "plucker") == 0
+    assert calls == [0, 1, 2, 3]
 
 
 def test_encode_still_frames_differ_only_in_index(tmp_path):
@@ -255,6 +276,15 @@ def test_decode_auto_reference_adds_at_most_one_grid_to_cache(tmp_path):
     assert ray_grid.cache_info().currsize <= 1
 
 
+def test_decode_dims_that_do_not_fit_the_grid_are_a_usage_error(tmp_path, capsys):
+    _, grids = _synth_encode(tmp_path)
+    out = tmp_path / "p.traj"
+    assert run("decode", grids, out, "--width", 100) == 2
+    err = capsys.readouterr().err
+    assert "24x50" in err and "24x32" in err
+    assert not out.exists()
+
+
 def test_decode_respects_explicit_dims(tmp_path):
     traj, grids = _synth_encode(tmp_path)
     out = tmp_path / "p.traj"
@@ -421,7 +451,54 @@ def test_bench_rejects_foreign_csv(tmp_path):
     assert run("bench", "--out", csv, *BENCH_ARGS) == 2
 
 
+def test_roundtrip_rejects_foreign_csv(tmp_path):
+    traj = tmp_path / "t.traj"
+    run("synth", "orbit", 5, traj, "--width", 64, "--height", 48)
+    csv = tmp_path / "r.csv"
+    csv.write_text("time,user\n1,2\n")
+    assert run("roundtrip", traj, "--csv", csv) == 2
+    assert _read(csv) == b"time,user\n1,2\n"
+
+
 # ------------------------------------------------------------------ misc
+
+
+def _raised_from(cause):
+    try:
+        raise RaxelkitError("frame 3 failed to decode") from cause
+    except RaxelkitError as err:
+        return err
+
+
+def _error_id(param):
+    if not isinstance(param, Exception):
+        return str(param)
+    cause = f"_from_{type(param.__cause__).__name__}" if param.__cause__ else ""
+    return type(param).__name__ + cause
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (DegenerateGeometryError("flat"), 4),
+        (InsufficientInliersError("few"), 4),
+        (_raised_from(DegenerateGeometryError("flat")), 4),
+        (_raised_from(InsufficientInliersError("few")), 4),
+        (TrajectoryParseError("bad", 3), 2),
+        (NonFiniteInputError("nan"), 2),
+        (ValueError("bad"), 2),
+        (IndexError("bad"), 2),
+        (OSError("disk"), 3),
+    ],
+    ids=_error_id,
+)
+def test_exit_code_per_exception_class(tmp_path, monkeypatch, capsys, error, code):
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_metrics", fail)
+    assert run("metrics", tmp_path / "a.traj", tmp_path / "b.traj") == code
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_usage_error_exits_2():

@@ -20,7 +20,7 @@ from raxelkit.geometry import (
     inverse,
     random_pose,
 )
-from raxelkit.rays import RaxelImage, encode_raxel, ray_grid
+from raxelkit.rays import RaxelImage, encode_plucker, encode_raxel, ray_grid
 
 INTR = Intrinsics(fx=700.0, fy=700.0, cx=416.0, cy=240.0, width=832, height=480)
 FRAME = CameraFrame(intrinsics=INTR, pose=Pose.identity(), index=0)
@@ -218,3 +218,12 @@ class TestDecodeTrajectory:
         small = Intrinsics(fx=100.0, fy=100.0, cx=20.0, cy=15.0, width=40, height=30)
         with pytest.raises(ShapeMismatchError):
             decode_trajectory([reference_image(), reference_image(small)], 0, 832, 480)
+
+    def test_non_raxel_grid_rejected(self):
+        small = Intrinsics(fx=30.0, fy=30.0, cx=32.0, cy=24.0, width=64, height=48)
+        plucker = encode_plucker(CameraFrame(intrinsics=small, pose=Pose.identity(), index=0),
+                                 Pose.identity())
+        with pytest.raises(ShapeMismatchError, match="plucker"):
+            decode_trajectory([plucker], 0, 64, 48)
+        with pytest.raises(ShapeMismatchError, match="plucker"):
+            recover_focal(plucker, Pose.identity(), 64, 48)

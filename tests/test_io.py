@@ -25,11 +25,14 @@ from raxelkit.io import (
     save_trajectory,
 )
 from raxelkit.rays import (
+    GridKind,
     RaxelImage,
+    RayGrid,
     RayMap6,
     RayMapKind,
     encode_plucker,
     encode_raxel,
+    encode_raymap,
 )
 
 INTR = Intrinsics(fx=700.0, fy=710.0, cx=416.0, cy=240.0, width=832, height=480)
@@ -278,15 +281,32 @@ def test_raxel_rejects_raymap_magic(tmp_path):
         load_raxel(path)
 
 
-def test_raymap_round_trip(tmp_path):
+@pytest.mark.parametrize(
+    "kind, encode, magic",
+    [
+        (GridKind.RAXEL, encode_raxel, b"RXL1"),
+        (GridKind.PLUCKER, encode_plucker, b"RXM1"),
+        (GridKind.RAYMAP, encode_raymap, b"RXM1"),
+    ],
+    ids=[kind.value for kind in GridKind],
+)
+def test_raymap_round_trip(tmp_path, kind, encode, magic):
     trajectory = _orbit(3)
-    raymap = encode_plucker(trajectory.frames[1], trajectory.frames[1].pose)
+    grid = encode(trajectory.frames[1], trajectory.frames[1].pose)
     path = str(tmp_path / "f.rxm")
-    save_raymap(path, raymap, 1)
-    loaded, frame_index = load_raymap(path, RayMapKind.PLUCKER)
+    save_raxel(path, grid, 1)
+    assert open(path, "rb").read(4) == magic
+    loaded, frame_index = load_raxel(path, kind)
     assert frame_index == 1
-    assert loaded.kind is RayMapKind.PLUCKER
-    assert np.array_equal(loaded.data, raymap.data)
+    assert loaded.kind is kind
+    assert loaded.data.shape[2] == kind.channels
+    assert np.array_equal(loaded.data, grid.data)
+
+
+def test_grid_names_from_before_the_merge_are_aliases():
+    assert RaxelImage is RayMap6 is RayGrid
+    assert RayMapKind is GridKind
+    assert save_raymap is save_raxel and load_raymap is load_raxel
 
 
 def test_raymap_kind_is_callers_statement(tmp_path):
