@@ -34,13 +34,8 @@ m = plucker.data[..., 3:]
 print(f"plucker moment is perpendicular to direction: "
       f"max |d.m| = {np.abs(np.einsum('ijk,ijk->ij', d, m)).max():.2e}")
 
-# slide the camera 0.7 units along each pixel's own ray: plucker cannot tell
-slid = Pose(pose.rotation, pose.translation)  # same orientation
-moved = encode_plucker(
-    CameraFrame(intrinsics=intrinsics, pose=slid, index=0),
-    Pose(pose.rotation, pose.translation + 0.0),
-)
-# sliding along rays means each pixel's origin moves by 0.7*direction;
+# slide the camera 0.7 units along each pixel's own ray: plucker cannot tell.
+# Sliding along rays means each pixel's origin moves by 0.7*direction;
 # the encoded origin is shared, so emulate it per-pixel:
 dirs = raxel.data
 origins = pose.translation + 0.7 * dirs

@@ -37,7 +37,7 @@ from .evaluation import (
     reverse_trajectory,
 )
 from .geometry import Intrinsics, Pose, canonicalize
-from .rays import GridKind, encode_plucker, encode_raxel, encode_raymap, unit_ray_grid
+from .rays import GridKind, encode_plucker, encode_raxel, encode_raymap, ray_grid
 from .registration import register
 
 CSV_HEADER = (
@@ -104,7 +104,7 @@ def _detect_reference(images, width: int, height: int) -> int | None:
             intr = Intrinsics(
                 fx=fx, fy=fy, cx=width / 2.0, cy=height / 2.0, width=width, height=height
             )
-            grid = unit_ray_grid(intr)
+            grid = ray_grid(intr)
             result = register(image.data.reshape(-1, 3), grid.reshape(-1, 3))
         except (RaxelkitError, ValueError):
             continue

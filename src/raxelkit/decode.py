@@ -111,7 +111,8 @@ def recover_focal(
 
     Returns (fx_hat, fy_hat, inlier_fraction) where the fraction is the
     smaller of the two axes' inlier shares. Raises InsufficientInliersError
-    if either axis keeps fewer than MIN_INLIER_FRACTION of the pixels, and
+    if either axis keeps fewer than MIN_INLIER_FRACTION of the pixels or
+    has a median vote at or below zero, and
     ShapeMismatchError for a grid that is not a raxel image or does not
     match the image dimensions.
     """
@@ -149,6 +150,11 @@ def recover_focal(
         fy_votes = (v_c[:, None] * z) / y
     fx_hat = _lower_median(fx_votes[mask_x])
     fy_hat = _lower_median(fy_votes[mask_y])
+    if fx_hat <= 0.0 or fy_hat <= 0.0:
+        raise InsufficientInliersError(
+            f"focal estimates {fx_hat:.6g}/{fy_hat:.6g} are not positive: "
+            "at least half the votes disagree with the pose"
+        )
     return fx_hat, fy_hat, min(frac_x, frac_y)
 
 
@@ -164,9 +170,9 @@ def decode_trajectory(
 
     The reference bundle is reduced for registration once and shared by
     every frame. Frames are solved independently; a frame that is
-    degenerate, has too few focal inliers or contains non-finite pixels is
-    reported in the failure list (with its position) and leaves a None
-    placeholder, without aborting the remaining frames. The reference
+    degenerate, has too few focal inliers, a focal that is not positive or
+    non-finite pixels is reported in the failure list (with its position)
+    and leaves a None placeholder, without aborting the rest. The reference
     frame's pose is set to the exact identity, not solved; a non-finite
     reference raises NonFiniteInputError, since no frame can be registered
     against it. A grid that is not a raxel image raises ShapeMismatchError.

@@ -32,13 +32,7 @@ from .geometry import (
     geodesic_rotation_distance,
     rotation_angle,
 )
-from .rays import (
-    RayGrid,
-    _frozen_grid,
-    _raxel_data,
-    encode_trajectory_raxels,
-    unit_ray_grid,
-)
+from .rays import GridKind, RayGrid, _encode, _frozen_grid, encode_trajectory_raxels, ray_grid
 
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -211,29 +205,29 @@ def reverse_trajectory(t: Trajectory) -> Trajectory:
 
 
 def perturb(image: RayGrid, spec: PerturbationSpec) -> RayGrid:
-    """Damaged copy of a raxel image, per the given perturbation settings."""
+    """Damaged copy of a ray grid, of its kind, per the given perturbation settings."""
     rng = np.random.default_rng(spec.seed)
-    data = image.data
+    data, kind = image.data, image.kind
     if spec.kind is PerturbationKind.GAUSSIAN_PER_PIXEL:
         noisy = rng.normal(0.0, spec.magnitude, data.shape)
         noisy += data
-        return _frozen_grid(noisy)
+        return _frozen_grid(noisy, kind)
     if spec.kind is PerturbationKind.UNIFORM_QUANTIZE:
         lo = float(data.min())
         span = float(data.max()) - lo
         if span == 0.0:
-            return _frozen_grid(data.copy())
+            return _frozen_grid(data.copy(), kind)
         levels = 2 ** int(spec.magnitude)
         step = span / levels
         bins = np.clip(np.floor((data - lo) / step), 0, levels - 1)
-        return _frozen_grid(lo + (bins + 0.5) * step)
+        return _frozen_grid(lo + (bins + 0.5) * step, kind)
     # pixel dropout: a seeded pixel subset collapses to the image mean
-    flat = data.reshape(-1, 3).copy()
+    flat = data.reshape(-1, kind.channels).copy()
     count = int(round(spec.magnitude * flat.shape[0]))
     if count:
         chosen = rng.choice(flat.shape[0], size=count, replace=False)
-        flat[chosen] = data.reshape(-1, 3).mean(axis=0)
-    return _frozen_grid(flat.reshape(data.shape))
+        flat[chosen] = data.reshape(-1, kind.channels).mean(axis=0)
+    return _frozen_grid(flat.reshape(data.shape), kind)
 
 
 def _frame_seeds(seed: int, count: int) -> np.ndarray:
@@ -282,8 +276,7 @@ def cycle_consistency_run(
     report = pose_errors(predicted, canonical)
     mrra30 = mrra(predicted, canonical, tau=30.0)
 
-    # re-encode through the uncached builder: decoded focal lengths are
-    # one-shot intrinsics, and the predicted poses are already canonical
+    # the predicted poses are already canonical
     residual = float(
         np.mean(
             [
@@ -297,6 +290,6 @@ def cycle_consistency_run(
 
 def _reencode_distance(frame: CameraFrame, clean: np.ndarray) -> float:
     """Mean per-pixel distance between ``frame``'s raxel image and ``clean``."""
-    diff = _raxel_data(unit_ray_grid(frame.intrinsics), frame.pose)
+    diff = _encode(ray_grid(frame.intrinsics), frame.pose, GridKind.RAXEL)
     diff -= clean
     return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).mean())

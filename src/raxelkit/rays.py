@@ -1,8 +1,8 @@
 """Dense camera-ray encodings over a half-resolution pixel grid.
 
-Three encodings of one camera frame, all sharing the same unprojected ray
-field. Each is a ``RayGrid`` whose ``GridKind`` names the layout and fixes
-the channel count:
+Three encodings of one camera frame, each one affine map of the camera
+rays ``d_cam`` of ``ray_grid`` (which caches one grid). Each is a
+``RayGrid`` whose ``GridKind`` names the layout and fixes the channel count:
 
 * raxel image  -- 3 channels per pixel: world ray direction plus camera
   origin, ``R @ d_cam + T``. Lossless for poses and (up to the principal
@@ -93,14 +93,14 @@ def grid_pixel_coordinates(width: int, height: int) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
-def unit_ray_grid(intrinsics: Intrinsics) -> np.ndarray:
+@lru_cache(maxsize=1)
+def ray_grid(intrinsics: Intrinsics) -> np.ndarray:
     """Unit camera-space ray directions K^-1 u / ||K^-1 u|| on the raxel grid.
 
-    Returns a fresh, writable array of shape (floor(H/2), floor(W/2), 3).
-    The norm is separable, ``sqrt(x[None, :]**2 + y[:, None]**2 + 1)``, so
-    it is formed on the 2-D grid once, not per 3-vector. ``ray_grid`` is
-    the cached, read-only form; use this one for one-shot intrinsics such
-    as decoded focal lengths, which would only fill the cache.
+    Returns a read-only array of shape (floor(H/2), floor(W/2), 3). The
+    norm is separable, ``sqrt(x[None, :]**2 + y[:, None]**2 + 1)``, so it
+    is formed on the 2-D grid once, not per 3-vector. The cache holds one
+    grid: a trajectory's frames share it; one-shot intrinsics cannot grow it.
     """
     u, v = grid_pixel_coordinates(intrinsics.width, intrinsics.height)
     x = (u - intrinsics.cx) / intrinsics.fx
@@ -110,50 +110,48 @@ def unit_ray_grid(intrinsics: Intrinsics) -> np.ndarray:
     np.divide(x[None, :], norm, out=dirs[:, :, 0])
     np.divide(y[:, None], norm, out=dirs[:, :, 1])
     np.divide(1.0, norm, out=dirs[:, :, 2])
-    return dirs
-
-
-@lru_cache(maxsize=64)
-def ray_grid(intrinsics: Intrinsics) -> np.ndarray:
-    """``unit_ray_grid``, cached per intrinsics and read-only."""
-    dirs = unit_ray_grid(intrinsics)
     dirs.flags.writeable = False
     return dirs
 
 
-def _world_directions(dirs: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """``R @ d`` at every pixel of an (H, W, 3) ray grid, as one 2-D gemm."""
-    return (dirs.reshape(-1, 3) @ rotation.T).reshape(dirs.shape)
-
-
-def _raxel_data(dirs: np.ndarray, pose: Pose) -> np.ndarray:
-    """``R @ d + T`` at every pixel of an (H, W, 3) ray grid, freshly
-    allocated. T is tiled across whole grid rows, so the add runs over
-    rows of 3W numbers instead of one 3-vector at a time."""
-    data = _world_directions(dirs, pose.rotation)
-    rows = data.reshape(data.shape[0], -1)
-    rows += np.tile(pose.translation, data.shape[1])
+def _encode(dirs: np.ndarray, pose: Pose, kind: GridKind) -> np.ndarray:
+    """``kind``'s channels over an (H, W, 3) ray grid, freshly allocated, as
+    ``d @ A + b`` for each row-vector ray d: raxel ``A = R^T, b = T``;
+    Plucker ``A = [R^T | R^T [T]x], b = 0`` with ``d @ [T]x = d x T``;
+    raymap ``A = [0 | R^T], b = [T, 0]``. One gemm, then b is tiled across
+    whole grid rows, so the add runs over rows of C*W numbers."""
+    r_t, t = pose.rotation.T, pose.translation
+    h, w, _ = dirs.shape
+    a = np.zeros((3, kind.channels))
+    if kind is GridKind.PLUCKER:
+        a[:, :3] = r_t
+        a[:, 3:] = r_t @ np.array([[0.0, -t[2], t[1]], [t[2], 0.0, -t[0]], [-t[1], t[0], 0.0]])
+        return (dirs.reshape(-1, 3) @ a).reshape(h, w, 6)
+    a[:, -3:] = r_t
+    b = np.zeros(kind.channels)
+    b[:3] = t
+    data = (dirs.reshape(-1, 3) @ a).reshape(h, w, kind.channels)
+    rows = data.reshape(h, -1)
+    rows += np.tile(b, w)
     return data
 
 
 def encode_raxel(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     """Raxel image of ``frame`` at relative pose ``pose_rel``: per pixel,
     world direction R_rel @ d_cam plus origin T_rel."""
-    return _frozen_grid(_raxel_data(ray_grid(frame.intrinsics), pose_rel))
+    return _frozen_grid(_encode(ray_grid(frame.intrinsics), pose_rel, GridKind.RAXEL))
 
 
 def encode_plucker(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     """Plucker line map: channels [direction, direction x origin]."""
-    d = _world_directions(ray_grid(frame.intrinsics), pose_rel.rotation)
-    moment = np.cross(d, np.broadcast_to(pose_rel.translation, d.shape))
-    return _frozen_grid(np.concatenate([d, moment], axis=2), GridKind.PLUCKER)
+    kind = GridKind.PLUCKER
+    return _frozen_grid(_encode(ray_grid(frame.intrinsics), pose_rel, kind), kind)
 
 
 def encode_raymap(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     """Raymap: channels [origin, direction] with the origin constant per frame."""
-    d = _world_directions(ray_grid(frame.intrinsics), pose_rel.rotation)
-    origin = np.broadcast_to(pose_rel.translation, d.shape)
-    return _frozen_grid(np.concatenate([origin, d], axis=2), GridKind.RAYMAP)
+    kind = GridKind.RAYMAP
+    return _frozen_grid(_encode(ray_grid(frame.intrinsics), pose_rel, kind), kind)
 
 
 def encode_trajectory_raxels(trajectory: Trajectory) -> list[RayGrid]:

@@ -268,6 +268,17 @@ def test_decode_drops_non_finite_frame_with_warning(tmp_path, capsys):
     assert decoded.reference_index == 0
 
 
+def test_decode_non_positive_focal_fails_frames_not_the_command(tmp_path, capsys):
+    # frame 4 of an arc is not the identity-pose reference: decoding against
+    # it gives negative focal votes, which are per-frame failures (exit 4)
+    _, grids = _synth_encode(tmp_path, kind="arcleft", frames=9, width=96, height=64)
+    out = tmp_path / "p.traj"
+    assert run("decode", grids, out, "--reference", 4) == 4
+    err = capsys.readouterr().err
+    assert "warning: frame 4 failed" in err and "not positive" in err
+    assert not out.exists()
+
+
 def test_decode_auto_reference_adds_at_most_one_grid_to_cache(tmp_path):
     # on an arc, several candidates pass the identity-pose focal test
     _, grids = _synth_encode(tmp_path, kind="arcleft", frames=9)

@@ -20,7 +20,14 @@ from raxelkit.geometry import (
     inverse,
     random_pose,
 )
-from raxelkit.rays import RaxelImage, encode_plucker, encode_raxel, ray_grid
+from raxelkit.evaluation import TrajectoryKind, generate_trajectory
+from raxelkit.rays import (
+    RaxelImage,
+    encode_plucker,
+    encode_raxel,
+    encode_trajectory_raxels,
+    ray_grid,
+)
 
 INTR = Intrinsics(fx=700.0, fy=700.0, cx=416.0, cy=240.0, width=832, height=480)
 FRAME = CameraFrame(intrinsics=INTR, pose=Pose.identity(), index=0)
@@ -227,3 +234,17 @@ class TestDecodeTrajectory:
             decode_trajectory([plucker], 0, 64, 48)
         with pytest.raises(ShapeMismatchError, match="plucker"):
             recover_focal(plucker, Pose.identity(), 64, 48)
+
+    def test_non_positive_focal_is_a_frame_failure(self):
+        # decoding an arc against a frame that is not its identity-pose
+        # reference leaves most fx votes negative; no frame may decode to a
+        # focal length that is not positive
+        focal = 48.0 / np.tan(np.pi / 6.0)
+        intr = Intrinsics(fx=focal, fy=focal, cx=48.0, cy=32.0, width=96, height=64)
+        images = encode_trajectory_raxels(generate_trajectory(TrajectoryKind.ARC_LEFT, 9, intr))
+        decoded, failures = decode_trajectory(images, 4, 96, 64)
+        assert failures
+        for failure in failures:
+            assert isinstance(failure.error, InsufficientInliersError)
+            assert "not positive" in str(failure.error)
+        assert all(d.fx_hat > 0.0 and d.fy_hat > 0.0 for d in decoded if d is not None)

@@ -31,7 +31,7 @@ from raxelkit.geometry import (
     inverse,
     random_pose,
 )
-from raxelkit.rays import encode_raxel, ray_grid
+from raxelkit.rays import encode_plucker, encode_raxel, encode_raymap, ray_grid
 
 INTR = Intrinsics(fx=100.0, fy=100.0, cx=64.0, cy=48.0, width=128, height=96)
 Z_AXIS = np.array([0.0, 0.0, 1.0])
@@ -277,16 +277,23 @@ class TestReverseTrajectory:
         assert pair_angles(t) == pair_angles(r)
 
 
+ENCODERS = pytest.mark.parametrize(
+    "encode", [encode_raxel, encode_plucker, encode_raymap], ids=["raxel", "plucker", "raymap"]
+)
+
+
 class TestPerturb:
-    def clean_image(self, seed=0):
+    def clean_image(self, seed=0, encode=encode_raxel):
         pose = random_pose(seed, 1.0, 1.0)
         frame = CameraFrame(intrinsics=INTR, pose=pose, index=0)
-        return encode_raxel(frame, pose)
+        return encode(frame, pose)
 
-    def test_zero_magnitude_identity(self):
-        img = self.clean_image()
+    @ENCODERS
+    def test_zero_magnitude_identity(self, encode):
+        img = self.clean_image(encode=encode)
         noise = perturb(img, PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.0, seed=1))
         drop = perturb(img, PerturbationSpec(PerturbationKind.PIXEL_DROPOUT, 0.0, seed=1))
+        assert noise.kind is img.kind and drop.kind is img.kind
         assert np.array_equal(noise.data, img.data)
         assert np.array_equal(drop.data, img.data)
 
@@ -296,11 +303,13 @@ class TestPerturb:
         span = img.data.max() - img.data.min()
         assert np.max(np.abs(q.data - img.data)) <= span / 2**16
 
-    def test_deterministic_per_seed(self):
-        img = self.clean_image()
+    @ENCODERS
+    def test_deterministic_per_seed(self, encode):
+        img = self.clean_image(encode=encode)
         spec = PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01, seed=5)
         a = perturb(img, spec)
         b = perturb(img, spec)
+        assert a.kind is img.kind
         assert np.array_equal(a.data, b.data)
         c = perturb(img, PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01, seed=6))
         assert not np.array_equal(a.data, c.data)
@@ -316,13 +325,15 @@ class TestPerturb:
         q = perturb(img, PerturbationSpec(PerturbationKind.UNIFORM_QUANTIZE, 3))
         assert len(np.unique(q.data)) <= 2**3
 
-    def test_dropout_replaces_exact_count_with_mean(self):
-        img = self.clean_image(seed=4)
+    @ENCODERS
+    def test_dropout_replaces_exact_count_with_mean(self, encode):
+        img = self.clean_image(seed=4, encode=encode)
         frac = 0.25
         spec = PerturbationSpec(PerturbationKind.PIXEL_DROPOUT, frac, seed=9)
         out = perturb(img, spec)
-        flat_in = img.data.reshape(-1, 3)
-        flat_out = out.data.reshape(-1, 3)
+        assert out.kind is img.kind
+        flat_in = img.data.reshape(-1, img.kind.channels)
+        flat_out = out.data.reshape(-1, img.kind.channels)
         changed = np.any(flat_in != flat_out, axis=1)
         assert changed.sum() == round(frac * flat_in.shape[0])
         mean = flat_in.mean(axis=0)

@@ -1,5 +1,6 @@
 """Property tests: the one-pass trajectory decoder against the per-frame
-public steps, and registration against a textbook Kabsch oracle."""
+public steps, registration against a textbook Kabsch oracle, and each
+encoder against its definition."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,13 @@ from hypothesis import strategies as st
 from raxelkit.decode import decode_trajectory, recover_focal, recover_pose
 from raxelkit.errors import DegenerateGeometryError, RaxelkitError
 from raxelkit.geometry import CameraFrame, Intrinsics, Pose, random_pose
-from raxelkit.rays import RaxelImage, encode_raxel
+from raxelkit.rays import (
+    RaxelImage,
+    encode_plucker,
+    encode_raxel,
+    encode_raymap,
+    grid_pixel_coordinates,
+)
 from raxelkit.registration import register
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -121,3 +128,29 @@ def test_flat_target_is_degenerate(clouds, seed):
     target = np.tile(point, (source.shape[0], 1))
     with pytest.raises(DegenerateGeometryError):
         register(target, source)
+
+
+def unprojected_rays(intr):
+    """Unit camera rays of the grid's pixel centres through an explicit K^-1."""
+    u, v = grid_pixel_coordinates(intr.width, intr.height)
+    uu, vv = np.meshgrid(u, v)
+    rays = np.stack([uu, vv, np.ones_like(uu)], axis=-1) @ np.linalg.inv(intr.matrix()).T
+    return rays / np.linalg.norm(rays, axis=-1, keepdims=True)
+
+
+@PROPERTY_SETTINGS
+@given(camera_setups())
+def test_encoders_match_their_definitions(setup):
+    intr, _, _, seed, _ = setup
+    pose = random_pose(seed, np.pi, 5.0)
+    frame = CameraFrame(intrinsics=intr, pose=Pose.identity(), index=0)
+    d, t = unprojected_rays(intr) @ pose.rotation.T, pose.translation
+    raxel = encode_raxel(frame, pose).data
+    plucker = encode_plucker(frame, pose).data
+    raymap = encode_raymap(frame, pose).data
+    assert np.abs(raxel - (d + t)).max() <= TOL
+    assert np.abs(plucker[..., :3] - d).max() <= TOL
+    assert np.abs(plucker[..., 3:] - np.cross(d, t)).max() <= TOL
+    assert np.abs(raymap[..., 3:] - d).max() <= TOL
+    # the origin channels are T itself, bit for bit, at every pixel
+    assert np.all(raymap[..., :3].view(np.uint64) == t.view(np.uint64))
