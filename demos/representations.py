@@ -37,9 +37,8 @@ print(f"plucker moment is perpendicular to direction: "
 # slide the camera 0.7 units along each pixel's own ray: plucker cannot tell.
 # Sliding along rays means each pixel's origin moves by 0.7*direction;
 # the encoded origin is shared, so emulate it per-pixel:
-dirs = raxel.data
-origins = pose.translation + 0.7 * dirs
-moments = np.cross(dirs, origins)
+origins = pose.translation + 0.7 * d
+moments = np.cross(d, origins)
 drift = np.abs(moments - m).max()
 print(f"sliding every origin 0.7 along its ray moves the moment by {drift:.2e}")
 

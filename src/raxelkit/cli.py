@@ -165,8 +165,12 @@ def cmd_decode(args) -> int:
             f"warning: frame {indices[failure.position]} failed: {failure.error}",
             file=sys.stderr,
         )
-    if decoded[reference_pos] is None or all(d is None for d in decoded):
-        print("error: all frames degenerate", file=sys.stderr)
+    if decoded[reference_pos] is None:
+        (error,) = [f.error for f in failures if f.position == reference_pos]
+        print(f"error: reference frame {indices[reference_pos]} failed: {error}",
+              file=sys.stderr)
+        if all(d is None for d in decoded):
+            print("error: all frames degenerate", file=sys.stderr)
         return 4
 
     trajectory = decoded_trajectory(decoded, indices, reference_pos, width, height)

@@ -10,11 +10,12 @@ Inverts the raxel encoding in two closed-form steps per frame:
    the estimate. The median makes the estimator immune to up to half
    the pixels being corrupted.
 
-``decode_trajectory`` reduces the reference bundle for registration
-once per trajectory (its centroid and centred x/y/z rows), so each frame
-costs one registration against it and one focal pass over the frame's
-camera-frame rays (x/y/z rows, ``R^T (p - T)``). ``recover_pose`` is the
-pose step for a single frame pair. Only ``GridKind.RAXEL`` grids decode.
+``decode_trajectory`` reads its sequence of grids once, reference first,
+and reduces the reference bundle for registration once per trajectory
+(its centroid and centred x/y/z rows), so each frame costs one
+registration against it and one focal pass over the frame's camera-frame
+rays (x/y/z rows, ``R^T (p - T)``). ``recover_pose`` is the pose step for
+a single frame pair. Only ``GridKind.RAXEL`` grids decode.
 
 The principal point is taken as the image center unless the caller
 supplies one; ``decoded_trajectory`` turns decoded frames into a
@@ -23,6 +24,7 @@ supplies one; ``decoded_trajectory`` turns decoded frames into a
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +92,10 @@ def recover_pose(target: RayGrid, reference: RayGrid) -> RegistrationResult:
 
 
 def _lower_median(values: np.ndarray) -> float:
+    """Lower median of a fresh 1-D array, which it partitions in place."""
     k = (values.size - 1) // 2
-    return float(np.partition(values, k)[k])
+    values.partition(k)
+    return float(values[k])
 
 
 def recover_focal(
@@ -134,8 +138,10 @@ def recover_focal(
     local = _source_frame_rows(target.data.reshape(-1, 3), pose)
     x, y, z = (row.reshape(v.size, u.size) for row in local)
     z_ok = z > INLIER_EPS
-    mask_x = z_ok & (np.abs(x) > INLIER_EPS)
-    mask_y = z_ok & (np.abs(y) > INLIER_EPS)
+    mask_x = (x > INLIER_EPS) | (x < -INLIER_EPS)
+    mask_x &= z_ok
+    mask_y = (y > INLIER_EPS) | (y < -INLIER_EPS)
+    mask_y &= z_ok
     total = x.size
     frac_x = np.count_nonzero(mask_x) / total
     frac_y = np.count_nonzero(mask_y) / total
@@ -144,12 +150,16 @@ def recover_focal(
             f"focal inlier fractions {frac_x:.3f}/{frac_y:.3f} below "
             f"{MIN_INLIER_FRACTION}"
         )
-    # votes are formed everywhere and masked once; excluded pixels may be inf/nan
+    # votes are formed everywhere, in one buffer shared by both axes, and
+    # masked once; excluded pixels may be inf/nan
+    votes = np.empty_like(z)
     with np.errstate(divide="ignore", invalid="ignore"):
-        fx_votes = (u_c[None, :] * z) / x
-        fy_votes = (v_c[:, None] * z) / y
-    fx_hat = _lower_median(fx_votes[mask_x])
-    fy_hat = _lower_median(fy_votes[mask_y])
+        np.multiply(u_c[None, :], z, out=votes)
+        votes /= x
+        fx_hat = _lower_median(votes[mask_x])
+        np.multiply(v_c[:, None], z, out=votes)
+        votes /= y
+        fy_hat = _lower_median(votes[mask_y])
     if fx_hat <= 0.0 or fy_hat <= 0.0:
         raise InsufficientInliersError(
             f"focal estimates {fx_hat:.6g}/{fy_hat:.6g} are not positive: "
@@ -159,7 +169,7 @@ def recover_focal(
 
 
 def decode_trajectory(
-    images: list[RayGrid],
+    images: Sequence[RayGrid],
     reference_index: int,
     width: int,
     height: int,
@@ -168,28 +178,29 @@ def decode_trajectory(
 ) -> tuple[list[DecodedFrame | None], list[DecodeFailure]]:
     """Decode every raxel image against the reference frame's image.
 
-    The reference bundle is reduced for registration once and shared by
-    every frame. Frames are solved independently; a frame that is
-    degenerate, has too few focal inliers, a focal that is not positive or
-    non-finite pixels is reported in the failure list (with its position)
-    and leaves a None placeholder, without aborting the rest. The reference
-    frame's pose is set to the exact identity, not solved; a non-finite
-    reference raises NonFiniteInputError, since no frame can be registered
-    against it. A grid that is not a raxel image raises ShapeMismatchError.
+    ``images`` is any sized sequence of grids. Each element is read exactly
+    once, the reference first, and no other grid is kept past its own
+    frame, so a sequence that builds its grids on demand is decoded one
+    frame at a time. The reference bundle is reduced for registration once
+    and shared by every frame. Frames are solved independently; a frame
+    that is degenerate, has too few focal inliers, a focal that is not
+    positive or non-finite pixels is reported in the failure list (with its
+    position) and leaves a None placeholder, without aborting the rest.
+    The reference frame's pose is set to the exact identity, not solved; a
+    non-finite reference raises NonFiniteInputError, since no frame can be
+    registered against it. A grid that is not a raxel image, or whose
+    shape differs from the reference's, raises ShapeMismatchError when it
+    is read.
 
     Returns (decoded, failures) where decoded matches the input order.
     """
     n = len(images)
     if not 0 <= reference_index < n:
         raise IndexError(f"reference_index {reference_index} out of range for {n} images")
-    ref_shape = images[reference_index].data.shape
-    for pos, img in enumerate(images):
-        _require_raxel(img, f"image {pos}")
-        if img.data.shape != ref_shape:
-            raise ShapeMismatchError(
-                f"image {pos} grid {img.data.shape} differs from reference grid {ref_shape}"
-            )
-    ref_points = images[reference_index].data.reshape(-1, 3)
+    ref_image = images[reference_index]
+    _require_raxel(ref_image, f"image {reference_index}")
+    ref_shape = ref_image.data.shape
+    ref_points = ref_image.data.reshape(-1, 3)
     if not np.all(np.isfinite(ref_points)):
         raise NonFiniteInputError(
             f"reference image {reference_index} contains non-finite pixels"
@@ -198,7 +209,13 @@ def decode_trajectory(
     decoded: list[DecodedFrame | None] = [None] * n
     failures: list[DecodeFailure] = []
     reference = None
-    for pos, img in enumerate(images):
+    for pos in range(n):
+        img = ref_image if pos == reference_index else images[pos]
+        _require_raxel(img, f"image {pos}")
+        if img.data.shape != ref_shape:
+            raise ShapeMismatchError(
+                f"image {pos} grid {img.data.shape} differs from reference grid {ref_shape}"
+            )
         try:
             if pos == reference_index:
                 pose, residual = Pose.identity(), 0.0
@@ -211,7 +228,8 @@ def decode_trajectory(
                 img, pose, width, height, cx=cx, cy=cy
             )
         except RaxelkitError as err:
-            failures.append(DecodeFailure(position=pos, error=err))
+            # kept without its traceback, whose frames would hold this grid
+            failures.append(DecodeFailure(position=pos, error=err.with_traceback(None)))
             continue
         decoded[pos] = DecodedFrame(
             pose=pose,

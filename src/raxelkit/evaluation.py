@@ -32,7 +32,7 @@ from .geometry import (
     geodesic_rotation_distance,
     rotation_angle,
 )
-from .rays import GridKind, RayGrid, _encode, _frozen_grid, encode_trajectory_raxels, ray_grid
+from .rays import GridKind, RayGrid, _encode, _frozen_grid, encode_raxel, ray_grid
 
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -230,8 +230,23 @@ def perturb(image: RayGrid, spec: PerturbationSpec) -> RayGrid:
     return _frozen_grid(flat.reshape(data.shape), kind)
 
 
-def _frame_seeds(seed: int, count: int) -> np.ndarray:
-    return np.random.SeedSequence(seed).generate_state(count)
+class _DamagedFrames:
+    """The damaged raxel grids of a canonical trajectory as a sized sequence:
+    element k is frame k encoded and perturbed with its own seed when it is
+    read, so no grid outlives its reader's use of it."""
+
+    def __init__(self, canonical: Trajectory, spec: PerturbationSpec):
+        self._frames = canonical.frames
+        self._seeds = np.random.SeedSequence(spec.seed).generate_state(len(self._frames))
+        self._spec = spec
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __getitem__(self, k: int) -> RayGrid:
+        frame = self._frames[k]
+        clean = encode_raxel(frame, frame.pose)
+        return perturb(clean, replace(self._spec, seed=int(self._seeds[k])))
 
 
 def cycle_consistency_run(
@@ -240,10 +255,13 @@ def cycle_consistency_run(
     """Encode, perturb, decode, and re-encode one trajectory.
 
     Each frame's perturbation seed is derived from ``spec.seed``, so the
-    run is deterministic regardless of evaluation order. Returns the pose
-    error report against the ground truth, mRRA at 30 degrees, and the mean
-    per-pixel distance between the re-encoded and the clean raxel images.
-    Decode failures are raised with their frame position.
+    run is deterministic regardless of evaluation order. The run holds one
+    frame at a time: each damaged grid is encoded and perturbed as decoding
+    reads it, and each clean grid is encoded again for its residual, from
+    the one ray grid the run holds. Returns the pose error report against
+    the ground truth, mRRA at 30 degrees, and the mean per-pixel distance
+    between the re-encoded and the clean raxel images. Decode failures are
+    raised with their frame position.
     """
     intr = ground_truth.frames[0].intrinsics
     for f in ground_truth.frames:
@@ -251,13 +269,10 @@ def cycle_consistency_run(
             raise ValueError("cycle consistency requires shared intrinsics")
 
     canonical = canonicalize(ground_truth, ground_truth.reference_index)
-    clean = encode_trajectory_raxels(canonical)
-    seeds = _frame_seeds(spec.seed, len(clean))
-    damaged = [
-        perturb(img, replace(spec, seed=int(s))) for img, s in zip(clean, seeds)
-    ]
+    # held here: the re-encodes at decoded intrinsics evict it from the cache
+    dirs = ray_grid(intr)
     decoded, failures = decode_trajectory(
-        damaged, canonical.reference_index, intr.width, intr.height
+        _DamagedFrames(canonical, spec), canonical.reference_index, intr.width, intr.height
     )
     if failures:
         first = failures[0]
@@ -280,8 +295,8 @@ def cycle_consistency_run(
     residual = float(
         np.mean(
             [
-                _reencode_distance(frame, clean_img.data)
-                for frame, clean_img in zip(predicted.frames, clean)
+                _reencode_distance(frame, _encode(dirs, truth.pose, GridKind.RAXEL))
+                for frame, truth in zip(predicted.frames, canonical.frames)
             ]
         )
     )

@@ -241,6 +241,16 @@ def test_decode_all_degenerate(tmp_path, capsys):
     assert run("decode", grids, tmp_path / "p.traj", "--reference", 0) == 4
 
 
+def test_decode_names_a_failed_reference_frame(tmp_path, capsys):
+    # frame 4 of an arc encoded against frame 0 is not an identity-pose frame
+    _, grids = _synth_encode(tmp_path, kind="arcleft", frames=9, width=96, height=64)
+    capsys.readouterr()
+    assert run("decode", grids, tmp_path / "o.traj", "--reference", 4) == 4
+    err = capsys.readouterr().err
+    assert "error: reference frame 4 failed: focal estimates" in err
+    assert not (tmp_path / "o.traj").exists()
+
+
 def test_decode_drops_failed_frame_with_warning(tmp_path, capsys):
     _, grids = _synth_encode(tmp_path)
     const = np.zeros((24, 32, 3))

@@ -1,9 +1,17 @@
 """Tests for pose and focal recovery from raxel images."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from raxelkit.decode import decode_trajectory, recover_focal, recover_pose
+from raxelkit.decode import (
+    INLIER_EPS,
+    MIN_INLIER_FRACTION,
+    decode_trajectory,
+    recover_focal,
+    recover_pose,
+)
 from raxelkit.errors import (
     DegenerateGeometryError,
     InsufficientInliersError,
@@ -26,8 +34,10 @@ from raxelkit.rays import (
     encode_plucker,
     encode_raxel,
     encode_trajectory_raxels,
+    grid_pixel_coordinates,
     ray_grid,
 )
+from raxelkit.registration import _source_frame_rows
 
 INTR = Intrinsics(fx=700.0, fy=700.0, cx=416.0, cy=240.0, width=832, height=480)
 FRAME = CameraFrame(intrinsics=INTR, pose=Pose.identity(), index=0)
@@ -94,6 +104,48 @@ class TestRecoverPose:
             recover_pose(flat, ref)
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def focal_outcome(target, pose, width, height):
+    """recover_focal's result as bit patterns, or the class of its error."""
+    try:
+        fx, fy, frac = recover_focal(target, pose, width, height)
+    except InsufficientInliersError as err:
+        return "not positive" if "not positive" in str(err) else "too few inliers"
+    return _bits(fx), _bits(fy), _bits(frac)
+
+
+def focal_oracle(target, pose, width, height):
+    """The median-of-ratios estimate as first written: np.abs masks, fresh
+    vote arrays per axis, np.partition on a copy."""
+    u, v = grid_pixel_coordinates(width, height)
+    u_c, v_c = u - width / 2.0, v - height / 2.0
+    local = _source_frame_rows(target.data.reshape(-1, 3), pose)
+    x, y, z = (row.reshape(v.size, u.size) for row in local)
+    z_ok = z > INLIER_EPS
+    mask_x = z_ok & (np.abs(x) > INLIER_EPS)
+    mask_y = z_ok & (np.abs(y) > INLIER_EPS)
+    frac_x = np.count_nonzero(mask_x) / x.size
+    frac_y = np.count_nonzero(mask_y) / x.size
+    if frac_x < MIN_INLIER_FRACTION or frac_y < MIN_INLIER_FRACTION:
+        return "too few inliers"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        fx_votes = (u_c[None, :] * z) / x
+        fy_votes = (v_c[:, None] * z) / y
+
+    def lower_median(values):
+        k = (values.size - 1) // 2
+        return float(np.partition(values, k)[k])
+
+    fx_hat = lower_median(fx_votes[mask_x])
+    fy_hat = lower_median(fy_votes[mask_y])
+    if fx_hat <= 0.0 or fy_hat <= 0.0:
+        return "not positive"
+    return _bits(fx_hat), _bits(fy_hat), _bits(min(frac_x, frac_y))
+
+
 class TestRecoverFocal:
     def test_clean_isotropic(self):
         intr = Intrinsics(fx=500.0, fy=500.0, cx=416.0, cy=240.0, width=832, height=480)
@@ -144,6 +196,33 @@ class TestRecoverFocal:
         img = reference_image()
         with pytest.raises(ShapeMismatchError):
             recover_focal(img, Pose.identity(), 416, 240)
+
+    def test_random_poses_match_the_oracle_bit_for_bit(self):
+        intr = Intrinsics(fx=70.0, fy=55.0, cx=48.0, cy=32.0, width=96, height=64)
+        rng = np.random.default_rng(5)
+        for seed in range(12):
+            pose = random_pose(seed, np.pi, 2.0)
+            img = encode_raxel(CameraFrame(intrinsics=intr, pose=pose, index=0), pose)
+            noisy = RaxelImage(img.data + rng.normal(0.0, 0.05, img.data.shape))
+            for grid in (img, noisy):
+                # the true pose, and a wrong one that turns votes negative
+                for p in (pose, Pose.identity()):
+                    assert focal_outcome(grid, p, 96, 64) == focal_oracle(grid, p, 96, 64)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("value", [INLIER_EPS, -INLIER_EPS, 0.0, -0.0, np.inf, -np.inf])
+    def test_boundary_pixels_match_the_oracle_bit_for_bit(self, value):
+        intr = Intrinsics(fx=60.0, fy=60.0, cx=48.0, cy=32.0, width=96, height=64)
+        rng = np.random.default_rng(11)
+        for share in (0.05, 0.5, 0.95):
+            for channel in range(3):
+                data = reference_image(intr).data.copy()
+                flat = data.reshape(-1, 3)
+                chosen = rng.choice(flat.shape[0], size=int(share * flat.shape[0]), replace=False)
+                flat[chosen, channel] = value
+                grid = RaxelImage(data)
+                for pose in (Pose.identity(), random_pose(channel, 0.3, 0.5)):
+                    assert focal_outcome(grid, pose, 96, 64) == focal_oracle(grid, pose, 96, 64)
 
 
 class TestDecodeTrajectory:
@@ -248,3 +327,60 @@ class TestDecodeTrajectory:
             assert isinstance(failure.error, InsufficientInliersError)
             assert "not positive" in str(failure.error)
         assert all(d.fx_hat > 0.0 and d.fy_hat > 0.0 for d in decoded if d is not None)
+
+
+class CountingGrids:
+    """A sized sequence that builds a fresh grid on each read. It records the
+    order of reads, and at each read which earlier non-reference grids still
+    have their pixel arrays alive; it holds only weak references to them."""
+
+    def __init__(self, data, reference):
+        self.data, self.reference = data, reference
+        self.reads, self.alive_at_read, self.returned = [], {}, {}
+
+    def __len__(self):
+        return len(self.data)
+
+    def __getitem__(self, k):
+        self.alive_at_read[k] = [
+            j for j, ref in self.returned.items()
+            if j != self.reference and j < k - 1 and ref() is not None
+        ]
+        self.reads.append(k)
+        grid = RaxelImage(self.data[k].copy())
+        self.returned[k] = weakref.ref(grid.data)
+        return grid
+
+
+class TestLazyDecode:
+    def test_reads_each_grid_once_reference_first_and_keeps_none(self):
+        intr = Intrinsics(fx=60.0, fy=60.0, cx=48.0, cy=32.0, width=96, height=64)
+        frame = CameraFrame(intrinsics=intr, pose=Pose.identity(), index=0)
+        poses = orbit_poses(8)
+        to_ref = inverse(poses[3])
+        data = [encode_raxel(frame, compose(to_ref, p)).data for p in poses]
+        # one frame fails registration and one the finite check; their
+        # failure records must not keep their grids alive
+        data[5] = np.tile(np.array([0.1, 0.2, 0.9]), (32, 48, 1))
+        data[6] = data[6].copy()
+        data[6][4, 7, 2] = np.nan
+
+        grids = CountingGrids(data, reference=3)
+        decoded, failures = decode_trajectory(grids, 3, 96, 64)
+
+        assert grids.reads == [3, 0, 1, 2, 4, 5, 6, 7]
+        assert {k: alive for k, alive in grids.alive_at_read.items() if alive} == {}
+        assert [f.position for f in failures] == [5, 6]
+
+        want, want_failures = decode_trajectory([RaxelImage(d) for d in data], 3, 96, 64)
+        assert [(f.position, str(f.error)) for f in failures] == [
+            (f.position, str(f.error)) for f in want_failures
+        ]
+        for got, exp in zip(decoded, want):
+            assert (got is None) == (exp is None)
+            if got is not None:
+                assert np.array_equal(got.pose.rotation, exp.pose.rotation)
+                assert np.array_equal(got.pose.translation, exp.pose.translation)
+                assert (got.fx_hat, got.fy_hat, got.pose_residual, got.inlier_fraction) == (
+                    exp.fx_hat, exp.fy_hat, exp.pose_residual, exp.inlier_fraction
+                )

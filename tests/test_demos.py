@@ -1,10 +1,13 @@
-"""Smoke test: every script in demos/ runs to completion and prints."""
+"""Every script in demos/ runs to completion and prints; the Plucker demo
+slides its origins along the pixel rays."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -25,3 +28,10 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_representations_slides_origins_along_the_pixel_rays(capsys):
+    ns = runpy.run_path(str(ROOT / "demos" / "representations.py"))
+    capsys.readouterr()
+    offsets = ns["origins"] - ns["pose"].translation
+    assert np.abs(np.cross(offsets, ns["d"])).max() < 1e-12

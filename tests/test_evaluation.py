@@ -1,6 +1,8 @@
 """Tests for metrics, trajectory generators, perturbations, and the
 cycle-consistency harness."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -397,6 +399,23 @@ class TestCycleConsistency:
         ray_grid.cache_clear()
         cycle_consistency_run(t, PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01, seed=2))
         assert ray_grid.cache_info().currsize <= 1
+
+    def test_holds_one_frame_at_a_time(self):
+        # all 21 clean and 21 damaged grids held at once would be over 42 grids
+        intr = Intrinsics(fx=180.0, fy=180.0, cx=104.0, cy=60.0, width=208, height=120)
+        t = generate_trajectory(TrajectoryKind.ORBIT, 21, intr)
+        spec = PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01, seed=4)
+        grid_bytes = 60 * 104 * 3 * 8
+        tracemalloc.start()
+        try:
+            cycle_consistency_run(t, spec)
+            tracemalloc.reset_peak()
+            baseline = tracemalloc.get_traced_memory()[0]
+            cycle_consistency_run(t, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - baseline) / grid_bytes < 12
 
     def test_mixed_intrinsics_rejected(self):
         other = Intrinsics(fx=90.0, fy=90.0, cx=64.0, cy=48.0, width=128, height=96)
