@@ -206,7 +206,7 @@ def _existing_cells(path: str) -> tuple[list[str], set]:
         cols = row.split(",")
         if len(cols) != 8:
             raise ValueError(f"malformed CSV row: {row!r}")
-        keys.add((cols[0], cols[1], rkio._fmt(float(cols[2])), cols[3]))
+        keys.add(_bench_cell_key(cols[0], cols[1], float(cols[2]), cols[3]))
     return rows, keys
 
 
@@ -239,6 +239,11 @@ def cmd_roundtrip(args) -> int:
 def cmd_metrics(args) -> int:
     predicted = rkio.load_trajectory(args.predicted)
     ground_truth = rkio.load_trajectory(args.ground_truth)
+    want, have = [f.index for f in ground_truth.frames], [f.index for f in predicted.frames]
+    if have != want:
+        missing, extra = sorted(set(want) - set(have)), sorted(set(have) - set(want))
+        detail = f"missing {missing}, extra {extra}" if missing or extra else "in another order"
+        raise ValueError(f"predicted frame indices differ from the ground truth's: {detail}")
     predicted = canonicalize(predicted, ground_truth.reference_index)
     ground_truth = canonicalize(ground_truth, ground_truth.reference_index)
     report = pose_errors(predicted, ground_truth)
@@ -272,7 +277,7 @@ def cmd_synth(args) -> int:
 
 # ------------------------------------------------------------------ bench
 
-def _bench_cell_key(kind: str, frames: int, magnitude: float, seed: int) -> tuple:
+def _bench_cell_key(kind: str, frames: int | str, magnitude: float, seed: int | str) -> tuple:
     return (kind, str(frames), rkio._fmt(magnitude), str(seed))
 
 

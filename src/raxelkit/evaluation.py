@@ -11,6 +11,7 @@ error curves are what the benchmark sweep records.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +30,6 @@ from .geometry import (
     Trajectory,
     axis_angle_rotation,
     canonicalize,
-    geodesic_rotation_distance,
     rotation_angle,
 )
 from .rays import GridKind, RayGrid, _encode, _frozen_grid, encode_raxel, ray_grid
@@ -77,6 +77,8 @@ class PerturbationSpec:
 
     def __post_init__(self):
         m = self.magnitude
+        if not math.isfinite(m):
+            raise ValueError(f"perturbation magnitude must be finite, got {m}")
         if self.kind is PerturbationKind.GAUSSIAN_PER_PIXEL:
             if m < 0:
                 raise ValueError(f"noise sigma must be >= 0, got {m}")
@@ -86,6 +88,12 @@ class PerturbationSpec:
         else:
             if not 0.0 <= m < 1.0:
                 raise ValueError(f"dropout fraction must lie in [0, 1), got {m}")
+
+
+def _stacked_poses(t: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """The frames' rotations, (F, 3, 3), and translations, (F, 3)."""
+    poses = [f.pose for f in t.frames]
+    return np.stack([p.rotation for p in poses]), np.stack([p.translation for p in poses])
 
 
 def pose_errors(predicted: Trajectory, ground_truth: Trajectory) -> PoseErrorReport:
@@ -104,11 +112,13 @@ def pose_errors(predicted: Trajectory, ground_truth: Trajectory) -> PoseErrorRep
             f"vs {ground_truth.reference_index}"
         )
     n = len(predicted)
-    rot = np.empty(n)
-    trans = np.empty(n)
-    for k, (p, g) in enumerate(zip(predicted.frames, ground_truth.frames)):
-        rot[k] = geodesic_rotation_distance(p.pose, g.pose)
-        trans[k] = float(np.linalg.norm(p.pose.translation - g.pose.translation))
+    rot_p, trans_p = _stacked_poses(predicted)
+    rot_g, trans_g = _stacked_poses(ground_truth)
+    rot = rotation_angle(np.swapaxes(rot_p, 1, 2) @ rot_g)
+    diff = trans_p - trans_g
+    # a vector-vector matmul is the BLAS dot np.linalg.norm takes of one
+    # 3-vector, so each row matches it bit for bit (norm(axis=1) does not)
+    trans = np.sqrt((diff[:, None, :] @ diff[:, :, None])[:, 0, 0])
     keep = np.arange(n) != predicted.reference_index
     mean_rot = float(rot[keep].mean()) if keep.any() else 0.0
     mean_trans = float(trans[keep].mean()) if keep.any() else 0.0
@@ -132,19 +142,12 @@ def mrra(predicted: Trajectory, ground_truth: Trajectory, tau: float = 30.0) -> 
     n = len(predicted)
     if n < 2:
         raise TooFewFramesError(f"mrra needs at least 2 frames, got {n}")
-    tau_rad = np.deg2rad(tau)
-    correct = 0
-    total = 0
-    for i in range(n):
-        ri_p = predicted.frames[i].pose.rotation
-        ri_g = ground_truth.frames[i].pose.rotation
-        for j in range(i + 1, n):
-            rel_p = ri_p.T @ predicted.frames[j].pose.rotation
-            rel_g = ri_g.T @ ground_truth.frames[j].pose.rotation
-            if rotation_angle(rel_p.T @ rel_g) <= tau_rad:
-                correct += 1
-            total += 1
-    return correct / total
+    # the pair error angle(rel_p^T rel_g) is the angle of its conjugate
+    # D_i D_j^T, with D_k = Rp_k Rg_k^T
+    d = _stacked_poses(predicted)[0] @ np.swapaxes(_stacked_poses(ground_truth)[0], 1, 2)
+    i, j = np.triu_indices(n, 1)
+    errors = rotation_angle(d[i] @ np.swapaxes(d[j], 1, 2))
+    return float(np.mean(errors <= np.deg2rad(tau)))
 
 
 def generate_trajectory(

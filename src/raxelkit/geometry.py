@@ -11,9 +11,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# Stored rotations must satisfy R^T R = I to this drift; anything worse is
-# polar-projected at construction (up to max_drift, beyond which we refuse).
+# Stored rotations must satisfy R^T R = I to this drift; anything worse, up to
+# MAX_POSE_DRIFT (what file deserialization may carry), is polar-projected.
 ORTHONORMALITY_DRIFT = 1e-9
+MAX_POSE_DRIFT = 1e-6
 
 
 def nearest_rotation(matrix: np.ndarray) -> np.ndarray:
@@ -34,34 +35,37 @@ def axis_angle_rotation(axis, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
 
 
-def rotation_angle(rotation: np.ndarray) -> float:
-    """Geodesic angle of a rotation matrix, in [0, pi].
+def rotation_angle(rotation: np.ndarray) -> float | np.ndarray:
+    """Geodesic angle of a rotation matrix, in [0, pi]: a float for one 3x3
+    matrix, an array of angles for a ``(..., 3, 3)`` stack.
 
     Evaluates arccos((trace - 1)/2) in the atan2 form, taking sin from the
     skew-symmetric part: identical for well-separated rotations but accurate
     to machine precision near 0 and pi, where the bare arccos saturates at
     ~sqrt(eps), and immune to traces marginally outside [-1, 3].
     """
-    r = rotation
+    r = np.asarray(rotation)
     sin_angle = 0.5 * np.sqrt(
-        (r[2, 1] - r[1, 2]) ** 2 + (r[0, 2] - r[2, 0]) ** 2 + (r[1, 0] - r[0, 1]) ** 2
+        (r[..., 2, 1] - r[..., 1, 2]) ** 2
+        + (r[..., 0, 2] - r[..., 2, 0]) ** 2
+        + (r[..., 1, 0] - r[..., 0, 1]) ** 2
     )
-    cos_angle = (np.trace(r) - 1.0) / 2.0
-    return float(np.arctan2(sin_angle, cos_angle))
+    cos_angle = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    angle = np.arctan2(sin_angle, cos_angle)
+    return float(angle) if r.ndim == 2 else angle
 
 
 class Pose:
     """SE(3) rigid transform: x_world = rotation @ x_camera + translation.
 
     The rotation is validated at construction: orthonormality drift up to
-    ``max_drift`` (default 1e-6, matching what file deserialization may carry)
-    is repaired by polar projection; improper or badly non-orthonormal
-    matrices are rejected. Instances are immutable.
+    ``MAX_POSE_DRIFT`` is repaired by polar projection; improper or badly
+    non-orthonormal matrices are rejected. Instances are immutable.
     """
 
     __slots__ = ("rotation", "translation")
 
-    def __init__(self, rotation, translation, max_drift: float = 1e-6):
+    def __init__(self, rotation, translation):
         r = np.array(rotation, dtype=float)
         t = np.array(translation, dtype=float)
         if r.shape != (3, 3):
@@ -71,8 +75,10 @@ class Pose:
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
             raise ValueError("pose entries must be finite")
         drift = np.abs(r.T @ r - np.eye(3)).max()
-        if drift > max_drift:
-            raise ValueError(f"rotation drift {drift:.3e} exceeds tolerance {max_drift:.3e}")
+        if drift > MAX_POSE_DRIFT:
+            raise ValueError(
+                f"rotation drift {drift:.3e} exceeds tolerance {MAX_POSE_DRIFT:.3e}"
+            )
         if np.linalg.det(r) <= 0.0:
             raise ValueError("rotation must be proper (det = +1), got a reflection")
         if drift > ORTHONORMALITY_DRIFT:

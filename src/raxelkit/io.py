@@ -41,7 +41,6 @@ RAXEL_MAGIC = b"RXL1"
 RAYMAP_MAGIC = b"RXM1"
 _MAGIC_BY_CHANNELS = {3: RAXEL_MAGIC, 6: RAYMAP_MAGIC}
 _HEADER_STRUCT = struct.Struct("<III")
-LOAD_POSE_DRIFT = 1e-6
 
 
 def _fmt(x: float) -> str:
@@ -110,7 +109,7 @@ def parse_trajectory(text: str) -> Trajectory:
             intrinsics = Intrinsics(
                 fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height
             )
-            pose = Pose(rt[:, :3], rt[:, 3], max_drift=LOAD_POSE_DRIFT)
+            pose = Pose(rt[:, :3], rt[:, 3])
             frames.append(CameraFrame(intrinsics=intrinsics, pose=pose, index=index))
         except ValueError as err:
             raise TrajectoryParseError(str(err), lineno)
@@ -175,8 +174,3 @@ def load_raxel(path: str, kind: GridKind = GridKind.RAXEL) -> tuple[RayGrid, int
     # a read-only view of the immutable blob, so RayGrid keeps it uncopied
     data = np.frombuffer(blob, dtype="<f8", offset=16).reshape(h, w, channels)
     return RayGrid(data, kind), frame_index
-
-
-# earlier names of the merged save/load pair, kept importable
-save_raymap = save_raxel
-load_raymap = load_raxel

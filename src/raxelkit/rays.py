@@ -70,12 +70,6 @@ class RayGrid:
         return self.data.shape[1]
 
 
-# earlier names of the merged grid type and its kind, kept importable
-RaxelImage = RayGrid
-RayMap6 = RayGrid
-RayMapKind = GridKind
-
-
 def _frozen_grid(data: np.ndarray, kind: GridKind = GridKind.RAXEL) -> RayGrid:
     """Wrap a freshly computed array, sparing RayGrid's defensive copy."""
     data.flags.writeable = False

@@ -1,5 +1,6 @@
 """Acceptance gate: ten end-to-end criteria, one test (and one pass/fail
-line) each, every tolerance and runtime budget asserted explicitly.
+line) each, every tolerance and runtime budget asserted explicitly; a
+criterion's oracle may also back a further test next to it.
 
 Run with ``pytest tests/test_acceptance.py -v`` for the per-criterion
 verdict lines.
@@ -45,7 +46,7 @@ from raxelkit.geometry import (
     rotation_angle,
 )
 from raxelkit.io import load_raxel, load_trajectory, save_raxel, save_trajectory
-from raxelkit.rays import RaxelImage, encode_raxel, encode_trajectory_raxels
+from raxelkit.rays import RayGrid, encode_raxel, encode_trajectory_raxels
 from raxelkit.registration import register
 
 import dataclasses
@@ -179,7 +180,7 @@ def test_criterion_03_focal_recovery():
     count = int(round(0.49 * flat.shape[0]))
     hit = rng.choice(flat.shape[0], size=count, replace=False)
     flat[hit] = rng.normal(scale=3.0, size=(count, 3))
-    fx_hat, fy_hat, _ = recover_focal(RaxelImage(data), pose, width, height)
+    fx_hat, fy_hat, _ = recover_focal(RayGrid(data), pose, width, height)
     assert abs(fx_hat - intr.fx) / intr.fx < 0.01
     assert abs(fy_hat - intr.fy) / intr.fy < 0.01
 
@@ -424,6 +425,36 @@ def test_criterion_06_attention_block_oracles():
 # 7. metrics vs brute-force enumeration
 
 
+def _brute_force_metrics(pred_poses, gt_poses, tau):
+    """mRRA at ``tau`` degrees by enumerating frame pairs, and the per-frame
+    rotation and translation errors, one frame at a time."""
+    n = len(gt_poses)
+    hits, total = 0, 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            rel_p = pred_poses[i].rotation.T @ pred_poses[j].rotation
+            rel_g = gt_poses[i].rotation.T @ gt_poses[j].rotation
+            hits += rotation_angle(rel_p.T @ rel_g) <= np.deg2rad(tau)
+            total += 1
+    rot = [rotation_angle(p.rotation.T @ g.rotation) for p, g in zip(pred_poses, gt_poses)]
+    trans = [
+        float(np.linalg.norm(p.translation - g.translation))
+        for p, g in zip(pred_poses, gt_poses)
+    ]
+    return hits / total, rot, trans
+
+
+def _perturbed_pair(seed, n):
+    gt_poses = [Pose.identity()] + [
+        random_pose(seed * 31 + k, 1.2, 1.0) for k in range(1, n)
+    ]
+    pred_poses = [
+        compose(random_pose(seed * 57 + 13 * k + 5, 0.9, 0.4), p)
+        for k, p in enumerate(gt_poses)
+    ]
+    return pred_poses, gt_poses
+
+
 def test_criterion_07_metrics_against_brute_force():
     t0 = time.perf_counter()
     from raxelkit.evaluation import mrra, pose_errors
@@ -433,33 +464,17 @@ def test_criterion_07_metrics_against_brute_force():
 
     for seed in range(50):
         n = 4 + seed % 5
-        gt_poses = [Pose.identity()] + [
-            random_pose(seed * 31 + k, 1.2, 1.0) for k in range(1, n)
-        ]
-        pred_poses = [
-            compose(random_pose(seed * 57 + 13 * k + 5, 0.9, 0.4), p)
-            for k, p in enumerate(gt_poses)
-        ]
+        pred_poses, gt_poses = _perturbed_pair(seed, n)
         gt = _trajectory(intr, gt_poses)
         pred = _trajectory(intr, pred_poses)
 
-        hits, total = 0, 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                rel_p = pred_poses[i].rotation.T @ pred_poses[j].rotation
-                rel_g = gt_poses[i].rotation.T @ gt_poses[j].rotation
-                hits += rotation_angle(rel_p.T @ rel_g) <= np.deg2rad(tau)
-                total += 1
-        assert abs(mrra(pred, gt, tau=tau) - hits / total) < 1e-10
+        fraction, rots, transes = _brute_force_metrics(pred_poses, gt_poses, tau)
+        assert abs(mrra(pred, gt, tau=tau) - fraction) < 1e-10
 
         report = pose_errors(pred, gt)
         for k in range(n):
-            rot = rotation_angle(pred_poses[k].rotation.T @ gt_poses[k].rotation)
-            trans = float(
-                np.linalg.norm(pred_poses[k].translation - gt_poses[k].translation)
-            )
-            assert abs(report.rotation_error[k] - rot) < 1e-10
-            assert abs(report.translation_error[k] - trans) < 1e-10
+            assert abs(report.rotation_error[k] - rots[k]) < 1e-10
+            assert abs(report.translation_error[k] - transes[k]) < 1e-10
         non_ref = [k for k in range(n) if k != gt.reference_index]
         assert abs(
             report.mean_rotation_error - np.mean(report.rotation_error[non_ref])
@@ -482,6 +497,22 @@ def test_criterion_07_metrics_against_brute_force():
     elapsed = _budget(t0, 10.0, "metrics")
     print(f"\ncriterion 7 PASS: mrra and pose_errors match enumeration on 50 "
           f"seeded pairs <1e-10; constructed fractions exact ({elapsed:.1f}s)")
+
+
+@pytest.mark.parametrize("n", [21, 81])
+def test_stacked_metrics_equal_the_brute_force_loop(n):
+    from raxelkit.evaluation import mrra, pose_errors
+
+    intr = Intrinsics(fx=100.0, fy=100.0, cx=32.0, cy=24.0, width=64, height=48)
+    pred_poses, gt_poses = _perturbed_pair(n, n)
+    pred, gt = _trajectory(intr, pred_poses), _trajectory(intr, gt_poses)
+    for tau in (15.0, 30.0, 45.0, 60.0):
+        fraction, rots, transes = _brute_force_metrics(pred_poses, gt_poses, tau)
+        assert 0.0 < fraction < 1.0  # the threshold splits the pairs
+        assert mrra(pred, gt, tau=tau) == fraction
+    report = pose_errors(pred, gt)
+    assert report.rotation_error.tolist() == rots
+    assert report.translation_error.tolist() == transes
 
 
 # --------------------------------------------------------------------------
@@ -571,7 +602,7 @@ def test_criterion_09_file_formats(tmp_path, capsys):
     const = np.zeros((24, 32, 3))
     const[..., 2] = 1.0
     for k in range(2):
-        save_raxel(str(flat_dir / f"frame_{k}.rxl"), RaxelImage(const.copy()), k)
+        save_raxel(str(flat_dir / f"frame_{k}.rxl"), RayGrid(const.copy()), k)
     assert cli_main(["decode", str(flat_dir), str(tmp_path / "o2.traj")]) == 4
 
     elapsed = _budget(t0, 5.0, "file formats")

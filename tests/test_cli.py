@@ -16,9 +16,9 @@ from raxelkit.errors import (
     RaxelkitError,
     TrajectoryParseError,
 )
-from raxelkit.geometry import canonicalize, geodesic_rotation_distance, inverse, compose
+from raxelkit.geometry import Trajectory, canonicalize, compose, geodesic_rotation_distance, inverse
 from raxelkit.io import load_raxel, load_trajectory, save_raxel, save_trajectory
-from raxelkit.rays import RaxelImage, ray_grid
+from raxelkit.rays import RayGrid, ray_grid
 
 
 def run(*argv):
@@ -210,7 +210,7 @@ def test_decode_mixed_grid_sizes(tmp_path, capsys):
     _, grids = _synth_encode(tmp_path)
     odd = np.zeros((10, 16, 3))
     odd[..., 2] = 1.0
-    save_raxel(str(grids / "frame_9.rxl"), RaxelImage(odd), 9)
+    save_raxel(str(grids / "frame_9.rxl"), RayGrid(odd), 9)
     assert run("decode", grids, tmp_path / "p.traj") == 2
     assert "differs" in capsys.readouterr().err
 
@@ -235,7 +235,7 @@ def test_decode_all_degenerate(tmp_path, capsys):
     const = np.zeros((24, 32, 3))
     const[..., 2] = 1.0
     for k in range(3):
-        save_raxel(str(grids / f"frame_{k}.rxl"), RaxelImage(const.copy()), k)
+        save_raxel(str(grids / f"frame_{k}.rxl"), RayGrid(const.copy()), k)
     assert run("decode", grids, tmp_path / "p.traj") == 4
     capsys.readouterr()
     assert run("decode", grids, tmp_path / "p.traj", "--reference", 0) == 4
@@ -255,7 +255,7 @@ def test_decode_drops_failed_frame_with_warning(tmp_path, capsys):
     _, grids = _synth_encode(tmp_path)
     const = np.zeros((24, 32, 3))
     const[..., 2] = 1.0
-    save_raxel(str(grids / "frame_9.rxl"), RaxelImage(const), 9)
+    save_raxel(str(grids / "frame_9.rxl"), RayGrid(const), 9)
     out = tmp_path / "p.traj"
     assert run("decode", grids, out) == 0
     err = capsys.readouterr().err
@@ -269,7 +269,7 @@ def test_decode_drops_non_finite_frame_with_warning(tmp_path, capsys):
     image, index = load_raxel(path)
     data = image.data.copy()
     data[5, 7, 2] = np.nan
-    save_raxel(path, RaxelImage(data), index)
+    save_raxel(path, RayGrid(data), index)
     out = tmp_path / "p.traj"
     assert run("decode", grids, out) == 0
     assert "frame 2" in capsys.readouterr().err
@@ -362,6 +362,13 @@ def test_roundtrip_negative_magnitude(tmp_path, capsys):
     assert run("roundtrip", traj, "--magnitude", -0.5) == 2
 
 
+def test_roundtrip_infinite_bit_depth_is_a_usage_error(tmp_path, capsys):
+    traj = tmp_path / "t.traj"
+    run("synth", "orbit", 5, traj, "--width", 64, "--height", 48)
+    assert run("roundtrip", traj, "--noise-kind", "quantize", "--magnitude", "inf") == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
 def test_roundtrip_degenerate_rays_exit_4(tmp_path, capsys):
     # a near-zero field of view makes every ray almost parallel, which
     # leaves focal recovery without inliers even on clean data
@@ -403,6 +410,32 @@ def test_metrics_length_mismatch(tmp_path, capsys):
     run("synth", "orbit", 4, a, "--width", 64, "--height", 48)
     run("synth", "orbit", 6, b, "--width", 64, "--height", 48)
     assert run("metrics", a, b) == 2
+
+
+def test_metrics_names_a_frame_the_decoder_dropped(tmp_path, capsys):
+    gt, grids, decoded = tmp_path / "gt.traj", tmp_path / "grids", tmp_path / "d.traj"
+    run("synth", "orbit", 9, gt, "--reverse", "--width", 64, "--height", 48)
+    run("encode", gt, grids)
+    path = str(grids / "frame_3.rxl")
+    image, index = load_raxel(path)
+    data = image.data.copy()
+    data[4, 4, 0] = np.nan
+    save_raxel(path, RayGrid(data), index)
+    assert run("decode", grids, decoded) == 0
+    capsys.readouterr()
+    assert run("metrics", decoded, gt) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "missing [3]" in err
+
+
+def test_metrics_rejects_frames_in_another_order(tmp_path, capsys):
+    traj, shuffled = tmp_path / "t.traj", tmp_path / "s.traj"
+    run("synth", "orbit", 4, traj, "--width", 64, "--height", 48)
+    t = load_trajectory(str(traj))
+    save_trajectory(str(shuffled), Trajectory(t.frames[::-1], len(t) - 1 - t.reference_index))
+    capsys.readouterr()
+    assert run("metrics", traj, shuffled) == 2
+    assert "another order" in capsys.readouterr().err
 
 
 def test_metrics_detects_rotation_gap(tmp_path, capsys):

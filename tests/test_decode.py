@@ -30,7 +30,7 @@ from raxelkit.geometry import (
 )
 from raxelkit.evaluation import TrajectoryKind, generate_trajectory
 from raxelkit.rays import (
-    RaxelImage,
+    RayGrid,
     encode_plucker,
     encode_raxel,
     encode_trajectory_raxels,
@@ -86,7 +86,7 @@ class TestRecoverPose:
             pose = random_pose(rng_seed=1000 + seed, rotation_scale=1.0, translation_scale=1.0)
             clean = encode_raxel(FRAME, pose)
             rng = np.random.default_rng(seed)
-            noisy = RaxelImage(clean.data + rng.normal(0.0, 0.01, clean.data.shape))
+            noisy = RayGrid(clean.data + rng.normal(0.0, 0.01, clean.data.shape))
             result = recover_pose(noisy, ref)
             worst = max(worst, geodesic_rotation_distance(result.pose, pose))
         # measured 3.7e-4 max on these seeds; pinned with margin
@@ -99,7 +99,7 @@ class TestRecoverPose:
 
     def test_constant_image_degenerate(self):
         ref = reference_image()
-        flat = RaxelImage(np.tile(np.array([0.1, 0.2, 0.9]), (ref.height_r, ref.width_r, 1)))
+        flat = RayGrid(np.tile(np.array([0.1, 0.2, 0.9]), (ref.height_r, ref.width_r, 1)))
         with pytest.raises(DegenerateGeometryError):
             recover_pose(flat, ref)
 
@@ -182,7 +182,7 @@ class TestRecoverFocal:
         bad = rng.choice(n, size=int(0.49 * n), replace=False)
         flat = data.reshape(-1, 3)
         flat[bad] = rng.normal(0.0, 50.0, (bad.size, 3))
-        fx, fy, _ = recover_focal(RaxelImage(flat.reshape(data.shape)), Pose.identity(), 832, 480)
+        fx, fy, _ = recover_focal(RayGrid(flat.reshape(data.shape)), Pose.identity(), 832, 480)
         assert abs(fx - 500.0) / 500.0 < 0.01
         assert abs(fy - 500.0) / 500.0 < 0.01
 
@@ -190,7 +190,7 @@ class TestRecoverFocal:
         shape = (240, 416, 3)
         backward = np.tile(np.array([0.0, 0.0, -1.0]), (shape[0], shape[1], 1))
         with pytest.raises(InsufficientInliersError):
-            recover_focal(RaxelImage(backward), Pose.identity(), 832, 480)
+            recover_focal(RayGrid(backward), Pose.identity(), 832, 480)
 
     def test_dimension_grid_mismatch_rejected(self):
         img = reference_image()
@@ -203,7 +203,7 @@ class TestRecoverFocal:
         for seed in range(12):
             pose = random_pose(seed, np.pi, 2.0)
             img = encode_raxel(CameraFrame(intrinsics=intr, pose=pose, index=0), pose)
-            noisy = RaxelImage(img.data + rng.normal(0.0, 0.05, img.data.shape))
+            noisy = RayGrid(img.data + rng.normal(0.0, 0.05, img.data.shape))
             for grid in (img, noisy):
                 # the true pose, and a wrong one that turns votes negative
                 for p in (pose, Pose.identity()):
@@ -220,7 +220,7 @@ class TestRecoverFocal:
                 flat = data.reshape(-1, 3)
                 chosen = rng.choice(flat.shape[0], size=int(share * flat.shape[0]), replace=False)
                 flat[chosen, channel] = value
-                grid = RaxelImage(data)
+                grid = RayGrid(data)
                 for pose in (Pose.identity(), random_pose(channel, 0.3, 0.5)):
                     assert focal_outcome(grid, pose, 96, 64) == focal_oracle(grid, pose, 96, 64)
 
@@ -255,7 +255,7 @@ class TestDecodeTrajectory:
         poses = orbit_poses(4)
         images = [encode_raxel(FRAME, p) for p in poses]
         flat = np.tile(np.array([0.1, 0.2, 0.9]), (images[0].height_r, images[0].width_r, 1))
-        images[2] = RaxelImage(flat)
+        images[2] = RayGrid(flat)
         decoded, failures = decode_trajectory(images, 0, 832, 480)
         assert decoded[2] is None
         assert len(failures) == 1
@@ -269,7 +269,7 @@ class TestDecodeTrajectory:
         images = [encode_raxel(FRAME, p) for p in poses]
         data = images[2].data.copy()
         data[17, 101, 1] = np.nan
-        images[2] = RaxelImage(data)
+        images[2] = RayGrid(data)
         decoded, failures = decode_trajectory(images, 0, 832, 480)
         assert [f.position for f in failures] == [2]
         assert isinstance(failures[0].error, NonFiniteInputError)
@@ -282,7 +282,7 @@ class TestDecodeTrajectory:
         images = [encode_raxel(FRAME, p) for p in orbit_poses(3)]
         data = images[0].data.copy()
         data[0, 0, 0] = np.inf
-        images[0] = RaxelImage(data)
+        images[0] = RayGrid(data)
         with pytest.raises(NonFiniteInputError):
             decode_trajectory(images, 0, 832, 480)
 
@@ -347,7 +347,7 @@ class CountingGrids:
             if j != self.reference and j < k - 1 and ref() is not None
         ]
         self.reads.append(k)
-        grid = RaxelImage(self.data[k].copy())
+        grid = RayGrid(self.data[k].copy())
         self.returned[k] = weakref.ref(grid.data)
         return grid
 
@@ -372,7 +372,7 @@ class TestLazyDecode:
         assert {k: alive for k, alive in grids.alive_at_read.items() if alive} == {}
         assert [f.position for f in failures] == [5, 6]
 
-        want, want_failures = decode_trajectory([RaxelImage(d) for d in data], 3, 96, 64)
+        want, want_failures = decode_trajectory([RayGrid(d) for d in data], 3, 96, 64)
         assert [(f.position, str(f.error)) for f in failures] == [
             (f.position, str(f.error)) for f in want_failures
         ]

@@ -351,6 +351,12 @@ class TestPerturb:
         with pytest.raises(ValueError):
             PerturbationSpec(PerturbationKind.PIXEL_DROPOUT, 1.0)
 
+    @pytest.mark.parametrize("magnitude", [np.nan, np.inf, -np.inf], ids=str)
+    @pytest.mark.parametrize("kind", list(PerturbationKind), ids=lambda k: k.value)
+    def test_non_finite_magnitude_rejected(self, kind, magnitude):
+        with pytest.raises(ValueError, match="must be finite"):
+            PerturbationSpec(kind, magnitude)
+
 
 class TestCycleConsistency:
     def test_clean_round_trip(self):

@@ -202,6 +202,24 @@ class TestGeodesicRotationDistance:
             assert dac <= dab + dbc + 1e-9
 
 
+class TestRotationAngle:
+    def test_stack_equals_per_matrix(self):
+        tiny, eps = 1e-12, 1e-13
+        rotations = [np.eye(3), rot_z(180.0)] + [
+            axis_angle_rotation(axis, angle)
+            for axis in ([1, 0, 0], [0, 1, 1], [1, -2, 3])
+            for angle in (tiny, eps, np.pi - tiny, np.pi - eps, np.pi, 1.0)
+        ]
+        rotations += [p.rotation for p in random_poses(70, 20, rot_scale=np.pi)]
+        stack = np.stack(rotations)
+        one_by_one = [rotation_angle(r) for r in rotations]
+        assert all(type(a) is float for a in one_by_one)
+        assert rotation_angle(stack).tolist() == one_by_one
+        assert rotation_angle(stack.reshape(2, -1, 3, 3)).tolist() == np.reshape(
+            one_by_one, (2, -1)
+        ).tolist()
+
+
 class TestRandomPose:
     def test_zero_scales_give_identity(self):
         p = random_pose(5, 0.0, 0.0)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+import raxelkit
 from raxelkit.errors import RaxelFileError, TrajectoryParseError
 from raxelkit.evaluation import TrajectoryKind, generate_trajectory
 from raxelkit.geometry import (
@@ -17,19 +18,14 @@ from raxelkit.geometry import (
 from raxelkit.io import (
     format_trajectory,
     load_raxel,
-    load_raymap,
     load_trajectory,
     parse_trajectory,
     save_raxel,
-    save_raymap,
     save_trajectory,
 )
 from raxelkit.rays import (
     GridKind,
-    RaxelImage,
     RayGrid,
-    RayMap6,
-    RayMapKind,
     encode_plucker,
     encode_raxel,
     encode_raymap,
@@ -231,7 +227,7 @@ def test_raxel_round_trip_bit_exact(tmp_path):
 def test_raxel_file_layout(tmp_path):
     data = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
     path = str(tmp_path / "f.rxl")
-    save_raxel(path, RaxelImage(data), 7)
+    save_raxel(path, RayGrid(data), 7)
     blob = open(path, "rb").read()
     assert blob[:4] == b"RXL1"
     assert len(blob) == 16 + 2 * 3 * 3 * 8
@@ -246,7 +242,7 @@ def test_raxel_file_layout(tmp_path):
 
 def test_raxel_bad_magic(tmp_path):
     path = str(tmp_path / "f.rxl")
-    save_raxel(path, RaxelImage(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
+    save_raxel(path, RayGrid(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
     blob = bytearray(open(path, "rb").read())
     blob[:4] = b"XXXX"
     open(path, "wb").write(bytes(blob))
@@ -256,7 +252,7 @@ def test_raxel_bad_magic(tmp_path):
 
 def test_raxel_truncated(tmp_path):
     path = str(tmp_path / "f.rxl")
-    save_raxel(path, RaxelImage(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
+    save_raxel(path, RayGrid(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob[:-8])
     with pytest.raises(RaxelFileError):
@@ -265,7 +261,7 @@ def test_raxel_truncated(tmp_path):
 
 def test_raxel_trailing_bytes(tmp_path):
     path = str(tmp_path / "f.rxl")
-    save_raxel(path, RaxelImage(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
+    save_raxel(path, RayGrid(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
     blob = open(path, "rb").read()
     open(path, "wb").write(blob + b"\x00" * 4)
     with pytest.raises(RaxelFileError):
@@ -276,7 +272,7 @@ def test_raxel_rejects_raymap_magic(tmp_path):
     trajectory = _orbit(2)
     raymap = encode_plucker(trajectory.frames[1], trajectory.frames[1].pose)
     path = str(tmp_path / "f.rxl")
-    save_raymap(path, raymap, 1)
+    save_raxel(path, raymap, 1)
     with pytest.raises(RaxelFileError):
         load_raxel(path)
 
@@ -303,19 +299,25 @@ def test_raymap_round_trip(tmp_path, kind, encode, magic):
     assert np.array_equal(loaded.data, grid.data)
 
 
-def test_grid_names_from_before_the_merge_are_aliases():
-    assert RaxelImage is RayMap6 is RayGrid
-    assert RayMapKind is GridKind
-    assert save_raymap is save_raxel and load_raymap is load_raxel
+def test_grid_names_from_before_the_merge_are_gone():
+    for module in (raxelkit, raxelkit.rays, raxelkit.io):
+        for name in ("RaxelImage", "RayMap6", "RayMapKind", "save_raymap", "load_raymap"):
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_package_all_resolves_without_repeats():
+    assert len(set(raxelkit.__all__)) == len(raxelkit.__all__)
+    for name in raxelkit.__all__:
+        assert hasattr(raxelkit, name), name
 
 
 def test_raymap_kind_is_callers_statement(tmp_path):
     data = np.zeros((2, 2, 6))
     data[..., 2] = 1.0
     path = str(tmp_path / "f.rxm")
-    save_raymap(path, RayMap6(data, RayMapKind.RAYMAP), 0)
-    loaded, _ = load_raymap(path, RayMapKind.RAYMAP)
-    assert loaded.kind is RayMapKind.RAYMAP
+    save_raxel(path, RayGrid(data, GridKind.RAYMAP), 0)
+    loaded, _ = load_raxel(path, GridKind.RAYMAP)
+    assert loaded.kind is GridKind.RAYMAP
 
 
 def test_atomic_write_leaves_no_temp_files(tmp_path):
@@ -333,7 +335,7 @@ def test_written_files_respect_umask(tmp_path, umask):
         traj_path = str(tmp_path / "t.traj")
         grid_path = str(tmp_path / "f.rxl")
         save_trajectory(traj_path, _orbit())
-        save_raxel(grid_path, RaxelImage(np.zeros((2, 3, 3))), 0)
+        save_raxel(grid_path, RayGrid(np.zeros((2, 3, 3))), 0)
     finally:
         os.umask(previous)
     for path in (traj_path, grid_path):
@@ -342,6 +344,6 @@ def test_written_files_respect_umask(tmp_path, umask):
 
 def test_large_frame_index_round_trips(tmp_path):
     path = str(tmp_path / "f.rxl")
-    save_raxel(path, RaxelImage(np.zeros((1, 1, 3)) + [0, 0, 1]), 4_000_000_000)
+    save_raxel(path, RayGrid(np.zeros((1, 1, 3)) + [0, 0, 1]), 4_000_000_000)
     _, idx = load_raxel(path)
     assert idx == 4_000_000_000

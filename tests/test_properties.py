@@ -11,7 +11,7 @@ from raxelkit.decode import decode_trajectory, recover_focal, recover_pose
 from raxelkit.errors import DegenerateGeometryError, RaxelkitError
 from raxelkit.geometry import CameraFrame, Intrinsics, Pose, random_pose
 from raxelkit.rays import (
-    RaxelImage,
+    RayGrid,
     encode_plucker,
     encode_raxel,
     encode_raymap,
@@ -63,7 +63,7 @@ def test_decode_trajectory_matches_per_frame_steps(setup):
     for k in range(count):
         pose = Pose.identity() if k == reference else random_pose(seed + k, 1.5, 2.0)
         clean = encode_raxel(frame, pose).data
-        images.append(RaxelImage(clean + rng.normal(0.0, sigma, clean.shape)))
+        images.append(RayGrid(clean + rng.normal(0.0, sigma, clean.shape)))
 
     w, h, cx, cy = intr.width, intr.height, intr.cx, intr.cy
     decoded, failures = decode_trajectory(images, reference, w, h, cx=cx, cy=cy)

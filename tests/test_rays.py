@@ -15,9 +15,8 @@ from raxelkit.geometry import (
     random_pose,
 )
 from raxelkit.rays import (
-    RaxelImage,
-    RayMap6,
-    RayMapKind,
+    GridKind,
+    RayGrid,
     encode_plucker,
     encode_raxel,
     encode_raymap,
@@ -132,16 +131,16 @@ class TestEncodeRaxel:
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
-            RaxelImage(np.zeros((4, 4, 6)))
+            RayGrid(np.zeros((4, 4, 6)))
         with pytest.raises(ValueError):
-            RaxelImage(np.zeros((4, 3)))
+            RayGrid(np.zeros((4, 3)))
 
 
 class TestEncodePlucker:
     def test_zero_translation_zero_moment(self):
         pose = Pose(axis_angle_rotation(np.array([1.0, 1.0, 0.0]), 0.4), np.zeros(3))
         pm = encode_plucker(random_frame(2), pose)
-        assert pm.kind is RayMapKind.PLUCKER
+        assert pm.kind is GridKind.PLUCKER
         assert np.all(pm.data[:, :, 3:] == 0.0)
 
     def test_hand_cross_product_at_principal_point(self):
@@ -177,7 +176,7 @@ class TestEncodePlucker:
 class TestEncodeRaymap:
     def test_identity_pose_origin_channels_zero(self):
         rm = encode_raymap(random_frame(4), Pose.identity())
-        assert rm.kind is RayMapKind.RAYMAP
+        assert rm.kind is GridKind.RAYMAP
         assert np.all(rm.data[:, :, :3] == 0.0)
 
     def test_directions_match_raxel_minus_origin(self):
@@ -197,7 +196,7 @@ class TestEncodeRaymap:
 
     def test_rejects_wrong_channel_count(self):
         with pytest.raises(ValueError):
-            RayMap6(np.zeros((4, 4, 3)), RayMapKind.RAYMAP)
+            RayGrid(np.zeros((4, 4, 3)), GridKind.RAYMAP)
 
 
 class TestTrajectoryEncoding:
