@@ -195,8 +195,12 @@ def _rope_angles(length: int, positions: np.ndarray) -> np.ndarray:
 
 
 def _rope_apply(mat: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Rotate consecutive feature pairs of each row by its position angles."""
-    n, length = mat.shape
+    """Rotate consecutive feature pairs of each row by its position angles.
+
+    mat is (..., n, length) with one position row per token; the cos/sin
+    table is built once and broadcast over the leading (head) axes.
+    """
+    length = mat.shape[-1]
     axes = positions.shape[1]
     if length % (2 * axes) != 0:
         raise ShapeMismatchError(
@@ -205,10 +209,10 @@ def _rope_apply(mat: np.ndarray, positions: np.ndarray) -> np.ndarray:
         )
     angles = _rope_angles(length, positions)
     cos, sin = np.cos(angles), np.sin(angles)
-    even, odd = mat[:, 0::2], mat[:, 1::2]
+    even, odd = mat[..., 0::2], mat[..., 1::2]
     out = np.empty_like(mat)
-    out[:, 0::2] = even * cos - odd * sin
-    out[:, 1::2] = even * sin + odd * cos
+    out[..., 0::2] = even * cos - odd * sin
+    out[..., 1::2] = even * sin + odd * cos
     return out
 
 
@@ -234,9 +238,10 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
 
 
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    out = scores - scores.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def _split_heads(x: np.ndarray, head_count: int) -> np.ndarray:
@@ -262,8 +267,9 @@ def _attend(
 ) -> np.ndarray:
     """Multi-head attention core shared by the self and cross paths.
 
-    Inputs are already normalized; rotary encoding is applied per head to
-    queries and keys. Returns the output projection (no residual).
+    Inputs are already normalized; rotary encoding is applied to the
+    queries and keys of all heads at once. Returns the output projection
+    (no residual).
     """
     d = q_tokens.shape[1]
     if w_query.shape[0] != d:
@@ -274,10 +280,10 @@ def _attend(
     q = _split_heads(q_tokens @ w_query, head_count)
     k = _split_heads(kv_tokens @ w_key, head_count)
     v = _split_heads(kv_tokens @ w_value, head_count)
-    for h in range(head_count):
-        q[h] = _rope_apply(q[h], q_positions)
-        k[h] = _rope_apply(k[h], kv_positions)
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
+    q = _rope_apply(q, q_positions)
+    k = _rope_apply(k, kv_positions)
+    scores = q @ k.transpose(0, 2, 1)
+    scores /= np.sqrt(head_dim)
     attn = _softmax_rows(scores)
     return _merge_heads(attn @ v) @ w_output
 
@@ -329,7 +335,18 @@ def cross_attention(
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+    """Tanh-approximate GELU, 0.5 x (1 + tanh(c (x + 0.044715 x^3))), in one
+    scratch array. The cube is two multiplies rather than numpy's general
+    pow, which is far slower; the two agree to a few ulp."""
+    out = x * x
+    out *= x
+    out *= 0.044715
+    out += x
+    out *= np.sqrt(2.0 / np.pi)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5 * x
+    return out
 
 
 def _feed_forward(seq: TokenSeq, branch: BranchParams) -> TokenSeq:

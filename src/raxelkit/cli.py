@@ -42,8 +42,11 @@ from .registration import register
 
 CSV_HEADER = (
     "kind,frames,magnitude,seed,"
-    "mean_rot_err_rad,mean_trans_err,mrra30,reencode_residual"
+    "mean_rot_err_rad,mean_trans_err,mrra30,reencode_residual,"
+    "noise_kind,width,height,fov,radius"
 )
+# the sweep settings a resumed bench must share with the rows it keeps
+SETTING_COLUMNS = ("noise_kind", "width", "height", "fov", "radius")
 DEFAULT_WIDTH = 832
 DEFAULT_HEIGHT = 480
 DEFAULT_FOV_DEG = 60.0
@@ -186,28 +189,25 @@ def _cycle_report(trajectory, kind_name: str, magnitude: float, seed: int):
 
 
 def _csv_row(kind: str, frames: int, magnitude: float, seed: int,
-             report, mrra30: float, residual: float) -> str:
+             report, mrra30: float, residual: float, settings: tuple) -> str:
     metrics = (report.mean_rotation_error, report.mean_translation_error, mrra30, residual)
     fields = [kind, str(frames), rkio._fmt(magnitude), str(seed)]
-    return ",".join(fields + [rkio._fmt(x) for x in metrics])
+    return ",".join(fields + [rkio._fmt(x) for x in metrics] + list(settings))
 
 
-def _existing_cells(path: str) -> tuple[list[str], set]:
-    """Rows (without header) and their cell keys from a previous run."""
+def _existing_rows(path: str) -> list[str]:
+    """Rows (without header) of a previous run's CSV."""
     if not os.path.exists(path):
-        return [], set()
+        return []
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if not lines or lines[0] != CSV_HEADER:
         raise ValueError(f"{path} does not start with the expected CSV header")
     rows = lines[1:]
-    keys = set()
     for row in rows:
-        cols = row.split(",")
-        if len(cols) != 8:
+        if row.count(",") != CSV_HEADER.count(","):
             raise ValueError(f"malformed CSV row: {row!r}")
-        keys.add(_bench_cell_key(cols[0], cols[1], float(cols[2]), cols[3]))
-    return rows, keys
+    return rows
 
 
 def _write_csv(path: str, rows: list[str]) -> None:
@@ -217,7 +217,7 @@ def _write_csv(path: str, rows: list[str]) -> None:
 
 def cmd_roundtrip(args) -> int:
     trajectory = rkio.load_trajectory(args.trajectory)
-    rows = _existing_cells(args.csv)[0] if args.csv else []
+    rows = _existing_rows(args.csv) if args.csv else []
     report, mrra30, residual = _cycle_report(
         trajectory, args.noise_kind, args.magnitude, args.seed
     )
@@ -227,9 +227,12 @@ def cmd_roundtrip(args) -> int:
     print(f"reencode_residual={residual:.6f}")
     if args.csv:
         stem = os.path.splitext(os.path.basename(args.trajectory))[0]
-        rows.append(
-            _csv_row(stem, len(trajectory), args.magnitude, args.seed, report, mrra30, residual)
-        )
+        intr = trajectory.frames[0].intrinsics
+        # a trajectory file records neither a field of view nor a radius
+        settings = (args.noise_kind, str(intr.width), str(intr.height), "", "")
+        rows.append(_csv_row(
+            stem, len(trajectory), args.magnitude, args.seed, report, mrra30, residual, settings
+        ))
         _write_csv(args.csv, rows)
     return 0
 
@@ -281,8 +284,27 @@ def _bench_cell_key(kind: str, frames: int | str, magnitude: float, seed: int | 
     return (kind, str(frames), rkio._fmt(magnitude), str(seed))
 
 
+def _resumable_cells(path: str, rows: list[str], settings: tuple) -> set:
+    """Cell keys of a previous run's rows; ValueError naming the first sweep
+    setting in which a row differs from this run's."""
+    keys = set()
+    for row in rows:
+        cols = row.split(",")
+        for name, recorded, wanted in zip(SETTING_COLUMNS, cols[-len(SETTING_COLUMNS):], settings):
+            if recorded != wanted:
+                raise ValueError(
+                    f"{path} holds a row with {name} {recorded or '(none)'}, but this run "
+                    f"has {name} {wanted}; resume with the same settings or use a new file"
+                )
+        keys.add(_bench_cell_key(cols[0], cols[1], float(cols[2]), cols[3]))
+    return keys
+
+
 def cmd_bench(args) -> int:
-    rows, have = _existing_cells(args.out)
+    settings = (args.noise_kind, str(args.width), str(args.height),
+                rkio._fmt(args.fov), rkio._fmt(args.radius))
+    rows = _existing_rows(args.out)
+    have = _resumable_cells(args.out, rows, settings)
     intrinsics = _default_intrinsics(args.width, args.height, args.fov)
     for kind_name in args.kinds:
         trajectory_by_kind = generate_trajectory(
@@ -299,9 +321,9 @@ def cmd_bench(args) -> int:
                 report, mrra30, residual = _cycle_report(
                     trajectory_by_kind, args.noise_kind, magnitude, seed
                 )
-                rows.append(
-                    _csv_row(kind_name, args.frames, magnitude, seed, report, mrra30, residual)
-                )
+                rows.append(_csv_row(
+                    kind_name, args.frames, magnitude, seed, report, mrra30, residual, settings
+                ))
                 have.add(key)
     _write_csv(args.out, rows)
     return 0

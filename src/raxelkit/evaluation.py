@@ -19,6 +19,7 @@ import numpy as np
 from .decode import decode_trajectory, decoded_trajectory
 from .errors import (
     LengthMismatchError,
+    NonFiniteInputError,
     RaxelkitError,
     ReferenceMismatchError,
     TooFewFramesError,
@@ -212,7 +213,10 @@ def perturb(image: RayGrid, spec: PerturbationSpec) -> RayGrid:
     rng = np.random.default_rng(spec.seed)
     data, kind = image.data, image.kind
     if spec.kind is PerturbationKind.GAUSSIAN_PER_PIXEL:
-        noisy = rng.normal(0.0, spec.magnitude, data.shape)
+        # the same values as rng.normal(0.0, sigma, shape), without its extra pass
+        noisy = rng.standard_normal(data.shape)
+        with np.errstate(over="ignore"):  # a huge sigma gives inf, which decoding reports
+            noisy *= spec.magnitude
         noisy += data
         return _frozen_grid(noisy, kind)
     if spec.kind is PerturbationKind.UNIFORM_QUANTIZE:
@@ -274,13 +278,22 @@ def cycle_consistency_run(
     canonical = canonicalize(ground_truth, ground_truth.reference_index)
     # held here: the re-encodes at decoded intrinsics evict it from the cache
     dirs = ray_grid(intr)
-    decoded, failures = decode_trajectory(
-        _DamagedFrames(canonical, spec), canonical.reference_index, intr.width, intr.height
-    )
+    # the clean grids are finite, so non-finite or overflowing pixels come
+    # from the perturbation; they explain any other failure, so they go first
+    damage = f"the {spec.kind.value} perturbation of magnitude {spec.magnitude:g}"
+    try:
+        decoded, failures = decode_trajectory(
+            _DamagedFrames(canonical, spec), canonical.reference_index, intr.width, intr.height
+        )
+    except NonFiniteInputError as err:
+        raise NonFiniteInputError(f"{damage} produced non-finite pixels: {err}") from err
     if failures:
-        first = failures[0]
+        non_finite = [f for f in failures if isinstance(f.error, NonFiniteInputError)]
+        first = (non_finite or failures)[0]
+        cause = (f"{damage} produced non-finite or overflowing pixels: "
+                 if isinstance(first.error, NonFiniteInputError) else "")
         raise RaxelkitError(
-            f"frame {first.position} failed to decode: {first.error}"
+            f"frame {first.position} failed to decode: {cause}{first.error}"
         ) from first.error
 
     predicted = decoded_trajectory(

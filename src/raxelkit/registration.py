@@ -131,8 +131,9 @@ def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
     """Best rigid transform taking the prepared source onto ``target``.
 
     Raises ShapeMismatchError on a length mismatch, NonFiniteInputError on
-    non-finite target coordinates and DegenerateGeometryError when the
-    geometry cannot pin down a rotation.
+    non-finite target coordinates or ones large enough to overflow the
+    cross-covariance, and DegenerateGeometryError when the geometry cannot
+    pin down a rotation.
     """
     tgt = _as_point_set(target, "target")
     n = prepared.rows.shape[1]
@@ -145,11 +146,18 @@ def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
     if not np.all(np.isfinite(tgt_centroid)):
         _require_finite(tgt, "target")
 
-    cross_cov = prepared.centred @ tgt - np.outer(prepared.centred_sum, tgt_centroid)
+    # finite but huge coordinates can overflow these sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross_cov = prepared.centred @ tgt - np.outer(prepared.centred_sum, tgt_centroid)
+        tgt_norm = np.sqrt(np.vdot(tgt, tgt))
+    if not (np.all(np.isfinite(cross_cov)) and np.isfinite(tgt_norm)):
+        raise NonFiniteInputError(
+            "target coordinates are too large: their cross-covariance or norm overflows"
+        )
     u, sing, vt = np.linalg.svd(cross_cov)
     # The uncentred product rounds with error up to about n * eps * |src_c| |tgt|;
     # singular values at that floor are noise, not geometry (a constant target).
-    floor = n * _EPS * prepared.centred_norm * np.sqrt(np.vdot(tgt, tgt))
+    floor = n * _EPS * prepared.centred_norm * tgt_norm
     condition = float(sing[2] / sing[0]) if sing[0] > floor else 0.0
     if condition < DEGENERACY_THRESHOLD:
         raise DegenerateGeometryError(

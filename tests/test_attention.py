@@ -16,6 +16,7 @@ from raxelkit.attention import (
     self_attention,
 )
 from raxelkit.attention import _softmax_rows
+from raxelkit.attention import _gelu, _rope_apply
 from raxelkit.errors import ShapeMismatchError
 
 D_MODEL = 24
@@ -367,3 +368,123 @@ class TestValidation:
     def test_float_positions_rejected(self):
         with pytest.raises(ValueError):
             TokenSeq(np.zeros((1, 12)), np.array([[0.5, 0.0, 0.0]]), Modality.VIDEO)
+
+
+# ------------------------------------------------- in-place kernels vs. formulas
+
+GEN_SLOTS, GEN_PATCHES, GEN_D_MODEL, GEN_HEADS = 6, 8, 96, 4
+
+
+def generate_positions():
+    """The (slot, row, column) grid of the generate benchmark: 384 tokens."""
+    return np.array([
+        (t, i, j) for t in range(GEN_SLOTS) for i in range(GEN_PATCHES) for j in range(GEN_PATCHES)
+    ])
+
+
+def formula_rope(mat, positions):
+    """Rotary encoding of one (n, length) matrix, written out."""
+    pairs = mat.shape[1] // (2 * positions.shape[1])
+    theta = 10000.0 ** (-2.0 * np.arange(pairs) / pairs)
+    angles = (positions[:, :, None] * theta[None, None, :]).reshape(positions.shape[0], -1)
+    cos, sin = np.cos(angles), np.sin(angles)
+    out = np.empty_like(mat)
+    out[:, 0::2] = mat[:, 0::2] * cos - mat[:, 1::2] * sin
+    out[:, 1::2] = mat[:, 0::2] * sin + mat[:, 1::2] * cos
+    return out
+
+
+def formula_softmax(scores):
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def formula_block(video, ray, params):
+    """The block as separate out-of-place steps: a rotary pass per head, a
+    three-step softmax and a GELU that cubes with pow."""
+    heads = params.head_count
+
+    def ln(x, gain):
+        return (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + LN_EPS) * gain
+
+    def split(x):
+        return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+    def attend(hq, q_pos, hkv, kv_pos, wq, wk, wv, wo):
+        q, k, v = split(hq @ wq), split(hkv @ wk), split(hkv @ wv)
+        for h in range(heads):
+            q[h] = formula_rope(q[h], q_pos)
+            k[h] = formula_rope(k[h], kv_pos)
+        attn = formula_softmax(q @ k.transpose(0, 2, 1) / np.sqrt(q.shape[2]))
+        return (attn @ v).transpose(1, 0, 2).reshape(hq.shape[0], -1) @ wo
+
+    def self_part(x, pos, b):
+        h = ln(x, b.gain_self)
+        return x + attend(h, pos, h, pos, b.self_query, b.self_key, b.self_value, b.self_output)
+
+    def cross_part(x, pos, y, y_pos, b):
+        return x + attend(ln(x, b.gain_cross), pos, ln(y, b.gain_cross), y_pos,
+                          b.cross_query, b.cross_key, b.cross_value, b.cross_output)
+
+    def ff_part(x, b):
+        return x + gelu_oracle(ln(x, b.gain_ff) @ b.ff_in) @ b.ff_out
+
+    bv, br = params.video, params.ray
+    v1 = self_part(video.tokens + params.offset_video, video.positions, bv)
+    r1 = self_part(ray.tokens + params.offset_ray, ray.positions, br)
+    v2 = cross_part(v1, video.positions, r1, ray.positions, bv)
+    r2 = cross_part(r1, ray.positions, v1, video.positions, br)
+    return ff_part(v2, bv), ff_part(r2, br)
+
+
+class TestInPlaceKernels:
+    def test_rope_on_a_head_stack_equals_per_head_calls(self):
+        rng = np.random.default_rng(50)
+        positions = generate_positions()
+        stack = rng.normal(size=(GEN_HEADS, positions.shape[0], GEN_D_MODEL // GEN_HEADS))
+        per_head = np.stack([_rope_apply(stack[h], positions) for h in range(GEN_HEADS)])
+        assert np.array_equal(_rope_apply(stack, positions), per_head)
+        assert np.array_equal(per_head[1], formula_rope(stack[1], positions))
+
+    def test_rope_on_a_transposed_head_view(self):
+        # the attention core rotates a (heads, n, head_dim) view of an (n, d) product
+        rng = np.random.default_rng(51)
+        positions = generate_positions()
+        flat = rng.normal(size=(positions.shape[0], GEN_D_MODEL))
+        view = flat.reshape(positions.shape[0], GEN_HEADS, -1).transpose(1, 0, 2)
+        expected = np.stack([formula_rope(view[h], positions) for h in range(GEN_HEADS)])
+        assert np.array_equal(_rope_apply(view, positions), expected)
+
+    def test_softmax_matches_formula_and_keeps_its_input(self):
+        rng = np.random.default_rng(52)
+        scores = rng.normal(scale=8.0, size=(GEN_HEADS, 384, 384))
+        before = scores.copy()
+        assert np.array_equal(_softmax_rows(scores), formula_softmax(scores))
+        assert np.array_equal(scores, before)
+
+    def test_gelu_matches_pow_formula(self):
+        rng = np.random.default_rng(53)
+        x = np.concatenate([
+            rng.uniform(-10.0, 10.0, 100_000), rng.normal(size=100_000),
+            np.linspace(-10.0, 10.0, 2001), [0.0, -0.0, 1e-300, -1e-300],
+        ])
+        before = x.copy()
+        got, want = _gelu(x), gelu_oracle(x)
+        assert np.array_equal(x, before)
+        # relative to |x|: on the negative tail 1 + tanh cancels, so an error
+        # relative to the output would measure the cancellation, not the cube
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(x))
+        positive = x > 0
+        assert np.all(np.abs(got - want)[positive] <= 1e-15 * want[positive])
+
+    def test_block_matches_formulas_on_generate_shapes(self):
+        params = init_dsca_params(3, GEN_D_MODEL, GEN_HEADS)
+        positions = generate_positions()
+        rng = np.random.default_rng(54)
+        video = TokenSeq(rng.normal(size=(len(positions), GEN_D_MODEL)), positions, Modality.VIDEO)
+        ray = TokenSeq(rng.normal(size=(len(positions), GEN_D_MODEL)), positions, Modality.RAY)
+        v_out, r_out = dsca_block(video, ray, params)
+        v_want, r_want = formula_block(video, ray, params)
+        assert np.max(np.abs(v_out.tokens - v_want)) <= 1e-12
+        assert np.max(np.abs(r_out.tokens - r_want)) <= 1e-12

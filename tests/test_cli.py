@@ -349,7 +349,7 @@ def test_roundtrip_csv_appends(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0] == (
         "kind,frames,magnitude,seed,mean_rot_err_rad,mean_trans_err,"
-        "mrra30,reencode_residual"
+        "mrra30,reencode_residual,noise_kind,width,height,fov,radius"
     )
     assert len(lines) == 3
     assert lines[1].startswith("t,5,0.001")
@@ -495,8 +495,52 @@ def test_bench_cell_matches_roundtrip(tmp_path, capsys):
     rt_csv = tmp_path / "rt.csv"
     run("roundtrip", traj, "--magnitude", 0.01, "--csv", rt_csv)
     rt_row = rt_csv.read_text().splitlines()[1].split(",")
-    # identical trajectory, identical perturbation: identical metric bytes
-    assert row[4:] == rt_row[4:]
+    # identical trajectory, identical perturbation: identical metric bytes;
+    # roundtrip knows the noise kind and image size, not the fov or radius
+    assert row[4:11] == rt_row[4:11]
+    assert rt_row[11:] == ["", ""]
+
+
+@pytest.mark.parametrize("changed, setting", [
+    (("--noise-kind", "dropout"), "noise_kind"),
+    (("--width", 96, "--height", 64), "width"),
+    (("--fov", 50), "fov"),
+    (("--radius", 2.5), "radius"),
+])
+def test_bench_refuses_resume_with_other_settings(tmp_path, capsys, changed, setting):
+    csv = tmp_path / "b.csv"
+    cell = ("--kinds", "orbit", "--magnitudes", 0.01, "--seeds", 1,
+            "--frames", 5, "--width", 64, "--height", 48)
+    assert run("bench", "--out", csv, *cell) == 0
+    first = _read(csv)
+    assert first.decode().splitlines()[1].endswith(",gaussian,64,48,60,2")
+    capsys.readouterr()
+    assert run("bench", "--out", csv, *cell, *changed) == 2
+    assert f"with {setting} " in capsys.readouterr().err
+    assert _read(csv) == first
+
+
+def test_roundtrip_fills_the_settings_it_knows(tmp_path):
+    traj = tmp_path / "t.traj"
+    run("synth", "orbit", 5, traj, "--width", 64, "--height", 48)
+    csv = tmp_path / "r.csv"
+    assert run("roundtrip", traj, "--noise-kind", "dropout", "--magnitude", 0.1,
+               "--csv", csv) == 0
+    assert csv.read_text().splitlines()[1].endswith(",dropout,64,48,,")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("magnitude, cause", [
+    ("1e200", "overflows"),
+    ("1e308", "produced non-finite pixels"),
+])
+def test_roundtrip_huge_sigma_names_the_perturbation(tmp_path, capsys, magnitude, cause):
+    traj = tmp_path / "t.traj"
+    run("synth", "orbit", 5, traj, "--width", 64, "--height", 48)
+    capsys.readouterr()
+    assert run("roundtrip", traj, "--magnitude", magnitude) == 2
+    err = capsys.readouterr().err
+    assert "gaussian perturbation" in err and cause in err
 
 
 def test_bench_rejects_foreign_csv(tmp_path):

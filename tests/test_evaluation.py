@@ -299,6 +299,15 @@ class TestPerturb:
         assert np.array_equal(noise.data, img.data)
         assert np.array_equal(drop.data, img.data)
 
+    @pytest.mark.parametrize("sigma", [1e-3, 0.05, 2.0])
+    def test_gaussian_noise_is_the_seeded_normal_draw(self, sigma):
+        img = self.clean_image(seed=7)
+        for seed in range(3):
+            out = perturb(img, PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, sigma, seed))
+            draw = np.random.default_rng(seed).normal(0.0, sigma, img.data.shape)
+            assert np.array_equal(out.data, draw + img.data)
+            assert not out.data.flags.writeable
+
     def test_16_bit_quantization_nearly_lossless(self):
         img = self.clean_image()
         q = perturb(img, PerturbationSpec(PerturbationKind.UNIFORM_QUANTIZE, 16))

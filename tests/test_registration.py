@@ -3,6 +3,7 @@ import pytest
 
 from raxelkit.errors import (
     DegenerateGeometryError,
+    NonFiniteInputError,
     NonPositiveWeightSumError,
     ShapeMismatchError,
 )
@@ -60,6 +61,14 @@ class TestRegister:
     def test_too_few_points(self):
         with pytest.raises(ShapeMismatchError):
             register(np.eye(2, 3), np.eye(2, 3))
+
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e155, 1e200])
+    def test_overflowing_target_is_non_finite_input(self, scale):
+        source, target, _ = transformed_cloud(12, 50)
+        with pytest.raises(NonFiniteInputError, match="overflows"):
+            register(target * scale, source)
 
 
 class TestRegisterWeighted:
