@@ -268,7 +268,8 @@ def cycle_consistency_run(
     the one ray grid the run holds. Returns the pose error report against
     the ground truth, mRRA at 30 degrees, and the mean per-pixel distance
     between the re-encoded and the clean raxel images. Decode failures are
-    raised with their frame position.
+    raised with their frame position; pixels that the perturbation made
+    non-finite, or too large to register, are reported first and name it.
     """
     intr = ground_truth.frames[0].intrinsics
     for f in ground_truth.frames:
