@@ -406,7 +406,8 @@ def formula_block(video, ray, params):
     heads = params.head_count
 
     def ln(x, gain):
-        return (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + LN_EPS) * gain
+        mean, var = x.mean(axis=1, keepdims=True), x.var(axis=1, keepdims=True)
+        return (x - mean) / np.sqrt(var + LN_EPS) * gain
 
     def split(x):
         return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
