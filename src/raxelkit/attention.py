@@ -271,12 +271,7 @@ def _attend(
     queries and keys of all heads at once. Returns the output projection
     (no residual).
     """
-    d = q_tokens.shape[1]
-    if w_query.shape[0] != d:
-        raise ShapeMismatchError(
-            f"token width {d} does not match parameter width {w_query.shape[0]}"
-        )
-    head_dim = d // head_count
+    head_dim = q_tokens.shape[1] // head_count
     q = _split_heads(q_tokens @ w_query, head_count)
     k = _split_heads(kv_tokens @ w_key, head_count)
     v = _split_heads(kv_tokens @ w_value, head_count)

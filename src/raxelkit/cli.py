@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import io as rkio
-from .decode import decode_trajectory, decoded_trajectory, recover_focal
+from .decode import FRAME_FAILURES, decode_trajectory, decoded_trajectory, recover_focal
 from .errors import (
     DegenerateGeometryError,
     InsufficientInliersError,
@@ -55,13 +55,8 @@ BENCH_KINDS = ("arcleft", "arcright", "orbit", "line")
 BENCH_SIGMAS = (0.001, 0.005, 0.01, 0.05)
 BENCH_SEEDS = 20
 BENCH_FRAMES = 21
-
-_KIND_BY_NAME = {k.value: k for k in TrajectoryKind}
-_NOISE_BY_NAME = {
-    "gaussian": PerturbationKind.GAUSSIAN_PER_PIXEL,
-    "quantize": PerturbationKind.UNIFORM_QUANTIZE,
-    "dropout": PerturbationKind.PIXEL_DROPOUT,
-}
+_TRAJECTORY_NAMES = sorted(kind.value for kind in TrajectoryKind)
+_NOISE_NAMES = sorted(kind.value for kind in PerturbationKind)
 _GEOMETRIC_ERRORS = (DegenerateGeometryError, InsufficientInliersError)
 
 
@@ -99,6 +94,8 @@ def _detect_reference(images, width: int, height: int) -> int | None:
     For each candidate, recover a focal length under the identity-pose
     assumption, synthesize the ideal identity ray grid for it, and measure
     the registration residual; the true reference frame fits near-exactly.
+    A candidate that fails as a frame can (``FRAME_FAILURES``) is skipped; a
+    ShapeMismatchError fails the detection.
     """
     best_pos, best_residual = None, np.inf
     for pos, image in enumerate(images):
@@ -109,7 +106,7 @@ def _detect_reference(images, width: int, height: int) -> int | None:
             )
             grid = ray_grid(intr)
             result = register(image.data.reshape(-1, 3), grid.reshape(-1, 3))
-        except (RaxelkitError, ValueError):
+        except FRAME_FAILURES:
             continue
         if result.rms_residual < best_residual:
             best_pos, best_residual = pos, result.rms_residual
@@ -143,14 +140,6 @@ def cmd_decode(args) -> int:
 
     width = args.width if args.width is not None else 2 * shape[1]
     height = args.height if args.height is not None else 2 * shape[0]
-    if (height // 2, width // 2) != shape[:2]:
-        print(
-            f"error: a {width}x{height} image maps to a {height // 2}x{width // 2} "
-            f"grid, but the grids are {shape[0]}x{shape[1]}",
-            file=sys.stderr,
-        )
-        return 2
-
     if args.reference is not None:
         if args.reference not in indices:
             print(f"error: no frame with index {args.reference}", file=sys.stderr)
@@ -184,7 +173,7 @@ def cmd_decode(args) -> int:
 # -------------------------------------------------------------- roundtrip
 
 def _cycle_report(trajectory, kind_name: str, magnitude: float, seed: int):
-    spec = PerturbationSpec(_NOISE_BY_NAME[kind_name], magnitude, seed)
+    spec = PerturbationSpec(PerturbationKind(kind_name), magnitude, seed)
     return cycle_consistency_run(trajectory, spec)
 
 
@@ -267,7 +256,7 @@ def cmd_metrics(args) -> int:
 def cmd_synth(args) -> int:
     intrinsics = _default_intrinsics(args.width, args.height, args.fov)
     trajectory = generate_trajectory(
-        _KIND_BY_NAME[args.kind],
+        TrajectoryKind(args.kind),
         args.frames,
         intrinsics,
         scale=args.radius,
@@ -308,7 +297,7 @@ def cmd_bench(args) -> int:
     intrinsics = _default_intrinsics(args.width, args.height, args.fov)
     for kind_name in args.kinds:
         trajectory_by_kind = generate_trajectory(
-            _KIND_BY_NAME[kind_name],
+            TrajectoryKind(kind_name),
             args.frames,
             intrinsics,
             scale=args.radius,
@@ -362,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     rt = sub.add_parser("roundtrip", help="encode, perturb, decode, re-encode")
     rt.add_argument("trajectory")
-    rt.add_argument("--noise-kind", choices=sorted(_NOISE_BY_NAME), default="gaussian")
+    rt.add_argument("--noise-kind", choices=_NOISE_NAMES, default="gaussian")
     rt.add_argument("--magnitude", type=float, default=0.0)
     rt.add_argument("--seed", type=int, default=0)
     rt.add_argument("--csv", default=None, help="append a CSV row to this file")
@@ -374,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     met.set_defaults(func=cmd_metrics)
 
     syn = sub.add_parser("synth", help="write a synthetic trajectory")
-    syn.add_argument("kind", choices=sorted(_KIND_BY_NAME))
+    syn.add_argument("kind", choices=_TRAJECTORY_NAMES)
     syn.add_argument("frames", type=int)
     syn.add_argument("out_trajectory")
     syn.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
@@ -389,11 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ben = sub.add_parser("bench", help="noise-robustness sweep to CSV")
     ben.add_argument("--out", default="bench.csv")
-    ben.add_argument("--kinds", nargs="+", choices=sorted(_KIND_BY_NAME),
+    ben.add_argument("--kinds", nargs="+", choices=_TRAJECTORY_NAMES,
                      default=list(BENCH_KINDS))
     ben.add_argument("--magnitudes", nargs="+", type=float,
                      default=list(BENCH_SIGMAS))
-    ben.add_argument("--noise-kind", choices=sorted(_NOISE_BY_NAME),
+    ben.add_argument("--noise-kind", choices=_NOISE_NAMES,
                      default="gaussian")
     ben.add_argument("--seeds", type=int, default=BENCH_SEEDS,
                      help="seeds 0..N-1 per cell")

@@ -20,6 +20,10 @@ a single frame pair. Only ``GridKind.RAXEL`` grids decode.
 The principal point is taken as the image center unless the caller
 supplies one; ``decoded_trajectory`` turns decoded frames into a
 ``Trajectory`` with it there.
+
+Only the errors in ``FRAME_FAILURES`` (degenerate geometry, too few or
+non-positive focal votes, non-finite pixels) fail a single frame; a
+``ShapeMismatchError`` fails the whole decode.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateGeometryError,
     InsufficientInliersError,
     NonFiniteInputError,
     RaxelkitError,
@@ -46,6 +51,7 @@ from .registration import (
 
 INLIER_EPS = 1e-6
 MIN_INLIER_FRACTION = 0.1
+FRAME_FAILURES = (DegenerateGeometryError, InsufficientInliersError, NonFiniteInputError)
 
 
 @dataclass(frozen=True)
@@ -61,7 +67,8 @@ class DecodedFrame:
 
 @dataclass(frozen=True)
 class DecodeFailure:
-    """A frame that could not be decoded: its position and the error."""
+    """A frame that could not be decoded: its position and the error, one of
+    ``FRAME_FAILURES``."""
 
     position: int
     error: RaxelkitError
@@ -184,13 +191,15 @@ def decode_trajectory(
     frame at a time. The reference bundle is reduced for registration once
     and shared by every frame. Frames are solved independently; a frame
     that is degenerate, has too few focal inliers, a focal that is not
-    positive or non-finite pixels is reported in the failure list (with its
-    position) and leaves a None placeholder, without aborting the rest.
-    The reference frame's pose is set to the exact identity, not solved; a
-    non-finite reference raises NonFiniteInputError, since no frame can be
-    registered against it. A grid that is not a raxel image, or whose
-    shape differs from the reference's, raises ShapeMismatchError when it
-    is read.
+    positive or non-finite pixels (``FRAME_FAILURES``) is reported in the
+    failure list (with its position) and leaves a None placeholder, without
+    aborting the rest. The reference frame's pose is set to the exact
+    identity, not solved; a non-finite reference raises NonFiniteInputError,
+    since no frame can be registered against it. ShapeMismatchError fails
+    the whole call at the first frame that shows it: a grid that is not a
+    raxel image or whose shape differs from the reference's, image
+    dimensions that do not map to the grid, or a grid with fewer than 3
+    pixels to register.
 
     Returns (decoded, failures) where decoded matches the input order.
     """
@@ -227,7 +236,7 @@ def decode_trajectory(
             fx_hat, fy_hat, inlier_fraction = recover_focal(
                 img, pose, width, height, cx=cx, cy=cy
             )
-        except RaxelkitError as err:
+        except FRAME_FAILURES as err:
             # kept without its traceback, whose frames would hold this grid
             failures.append(DecodeFailure(position=pos, error=err.with_traceback(None)))
             continue

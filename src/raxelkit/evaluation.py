@@ -268,7 +268,7 @@ def cycle_consistency_run(
     the one ray grid the run holds. Returns the pose error report against
     the ground truth, mRRA at 30 degrees, and the mean per-pixel distance
     between the re-encoded and the clean raxel images. Decode failures are
-    raised with their frame position; pixels that the perturbation made
+    raised with their frame index; pixels that the perturbation made
     non-finite, or too large to register, are reported first and name it.
     """
     intr = ground_truth.frames[0].intrinsics
@@ -294,7 +294,8 @@ def cycle_consistency_run(
         cause = (f"{damage} produced non-finite or overflowing pixels: "
                  if isinstance(first.error, NonFiniteInputError) else "")
         raise RaxelkitError(
-            f"frame {first.position} failed to decode: {cause}{first.error}"
+            f"frame {canonical.frames[first.position].index} failed to decode: "
+            f"{cause}{first.error}"
         ) from first.error
 
     predicted = decoded_trajectory(

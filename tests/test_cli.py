@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from raxelkit.errors import (
     InsufficientInliersError,
     NonFiniteInputError,
     RaxelkitError,
+    ShapeMismatchError,
     TrajectoryParseError,
 )
 from raxelkit.geometry import Trajectory, canonicalize, compose, geodesic_rotation_distance, inverse
@@ -306,6 +308,32 @@ def test_decode_dims_that_do_not_fit_the_grid_are_a_usage_error(tmp_path, capsys
     assert not out.exists()
 
 
+def test_detect_reference_raises_on_dims_that_do_not_fit(tmp_path):
+    _, grids = _synth_encode(tmp_path)
+    images = [load_raxel(str(path))[0] for path in sorted(grids.iterdir())]
+    with pytest.raises(ShapeMismatchError, match="24x50"):
+        cli._detect_reference(images, 100, 48)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("decode", ()),
+    ("decode", ("--reference", 0)),
+    ("roundtrip", ()),
+], ids=["decode-auto", "decode-reference", "roundtrip"])
+def test_grids_too_small_to_register_are_a_usage_error(tmp_path, capsys, command, extra):
+    # a 3x3 image has a 1x1 raxel grid: one point, where registration needs 3
+    traj, grids = _synth_encode(tmp_path, frames=3, width=3, height=3)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    if command == "decode":
+        argv = (grids, out, "--width", 3, "--height", 3, *extra)
+    else:
+        argv = (traj, "--csv", out)
+    assert run(command, *argv) == 2
+    assert capsys.readouterr().err == "error: source needs at least 3 points, got 1\n"
+    assert not out.exists()
+
+
 def test_decode_respects_explicit_dims(tmp_path):
     traj, grids = _synth_encode(tmp_path)
     out = tmp_path / "p.traj"
@@ -541,6 +569,22 @@ def test_roundtrip_huge_sigma_names_the_perturbation(tmp_path, capsys, magnitude
     assert run("roundtrip", traj, "--magnitude", magnitude) == 2
     err = capsys.readouterr().err
     assert "gaussian perturbation" in err and cause in err
+
+
+@pytest.mark.parametrize("noise, magnitude, frame, code", [
+    ("gaussian", "1e200", 11, 2),
+    ("dropout", "0.99", 10, 4),
+])
+def test_roundtrip_names_a_failed_frame_by_its_index(tmp_path, capsys, noise, magnitude, frame,
+                                                    code):
+    traj = tmp_path / "t.traj"
+    run("synth", "orbit", 5, traj, "--width", 64, "--height", 48)
+    t = load_trajectory(str(traj))
+    renumbered = tuple(replace(f, index=f.index + 10) for f in t.frames)
+    save_trajectory(str(traj), Trajectory(renumbered, t.reference_index))
+    capsys.readouterr()
+    assert run("roundtrip", traj, "--noise-kind", noise, "--magnitude", magnitude) == code
+    assert f"error: frame {frame} failed to decode" in capsys.readouterr().err
 
 
 def test_bench_rejects_foreign_csv(tmp_path):

@@ -353,6 +353,14 @@ class CountingGrids:
 
 
 class TestLazyDecode:
+    def test_dims_that_do_not_fit_fail_the_call_at_the_reference(self):
+        intr = Intrinsics(fx=60.0, fy=60.0, cx=48.0, cy=32.0, width=96, height=64)
+        frame = CameraFrame(intrinsics=intr, pose=Pose.identity(), index=0)
+        grids = CountingGrids([encode_raxel(frame, p).data for p in orbit_poses(4)], reference=0)
+        with pytest.raises(ShapeMismatchError, match="32x50.*32x48"):
+            decode_trajectory(grids, 0, 100, 64)
+        assert grids.reads == [0]
+
     def test_reads_each_grid_once_reference_first_and_keeps_none(self):
         intr = Intrinsics(fx=60.0, fy=60.0, cx=48.0, cy=32.0, width=96, height=64)
         frame = CameraFrame(intrinsics=intr, pose=Pose.identity(), index=0)

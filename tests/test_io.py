@@ -1,6 +1,7 @@
 """Trajectory text format and ray-grid binary format."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,7 +68,7 @@ def test_save_twice_identical_bytes(tmp_path):
     p1, p2 = str(tmp_path / "a.traj"), str(tmp_path / "b.traj")
     save_trajectory(p1, trajectory)
     save_trajectory(p2, trajectory)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_header_and_frame_line_layout():
@@ -228,7 +229,7 @@ def test_raxel_file_layout(tmp_path):
     data = np.arange(2 * 3 * 3, dtype=float).reshape(2, 3, 3)
     path = str(tmp_path / "f.rxl")
     save_raxel(path, RayGrid(data), 7)
-    blob = open(path, "rb").read()
+    blob = Path(path).read_bytes()
     assert blob[:4] == b"RXL1"
     assert len(blob) == 16 + 2 * 3 * 3 * 8
     h = int.from_bytes(blob[4:8], "little")
@@ -243,9 +244,9 @@ def test_raxel_file_layout(tmp_path):
 def test_raxel_bad_magic(tmp_path):
     path = str(tmp_path / "f.rxl")
     save_raxel(path, RayGrid(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
-    blob = bytearray(open(path, "rb").read())
+    blob = bytearray(Path(path).read_bytes())
     blob[:4] = b"XXXX"
-    open(path, "wb").write(bytes(blob))
+    Path(path).write_bytes(bytes(blob))
     with pytest.raises(RaxelFileError):
         load_raxel(path)
 
@@ -253,8 +254,8 @@ def test_raxel_bad_magic(tmp_path):
 def test_raxel_truncated(tmp_path):
     path = str(tmp_path / "f.rxl")
     save_raxel(path, RayGrid(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob[:-8])
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob[:-8])
     with pytest.raises(RaxelFileError):
         load_raxel(path)
 
@@ -262,8 +263,8 @@ def test_raxel_truncated(tmp_path):
 def test_raxel_trailing_bytes(tmp_path):
     path = str(tmp_path / "f.rxl")
     save_raxel(path, RayGrid(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
-    blob = open(path, "rb").read()
-    open(path, "wb").write(blob + b"\x00" * 4)
+    blob = Path(path).read_bytes()
+    Path(path).write_bytes(blob + b"\x00" * 4)
     with pytest.raises(RaxelFileError):
         load_raxel(path)
 
@@ -291,7 +292,7 @@ def test_raymap_round_trip(tmp_path, kind, encode, magic):
     grid = encode(trajectory.frames[1], trajectory.frames[1].pose)
     path = str(tmp_path / "f.rxm")
     save_raxel(path, grid, 1)
-    assert open(path, "rb").read(4) == magic
+    assert Path(path).read_bytes()[:4] == magic
     loaded, frame_index = load_raxel(path, kind)
     assert frame_index == 1
     assert loaded.kind is kind
