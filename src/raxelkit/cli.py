@@ -5,9 +5,10 @@ Subcommands: encode (trajectory file to per-frame ray-grid files), decode
 metrics (compare two trajectory files), synth (write a synthetic
 trajectory), bench (noise-robustness sweep to CSV).
 
-Exit codes: 0 success, 2 usage or parse failure, 3 I/O failure, 4 total
-geometric degeneracy. Every command's output is a deterministic function
-of its arguments.
+Every command returns None and raises on failure; ``main`` alone maps the
+error to an exit code: 0 success, 2 usage or parse failure, 3 I/O failure,
+4 geometric degeneracy (also as a raxelkit error's cause). Every command's
+output is a deterministic function of its arguments.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .errors import (
     DegenerateGeometryError,
     InsufficientInliersError,
     RaxelkitError,
+    ShapeMismatchError,
 )
 from .evaluation import (
     PerturbationKind,
@@ -61,6 +63,8 @@ _GEOMETRIC_ERRORS = (DegenerateGeometryError, InsufficientInliersError)
 
 
 def _default_intrinsics(width: int, height: int, fov_deg: float) -> Intrinsics:
+    if not 0.0 < fov_deg < 180.0:
+        raise ValueError(f"field of view {fov_deg:g} is not strictly between 0 and 180 degrees")
     focal = (width / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
     return Intrinsics(
         fx=focal, fy=focal, cx=width / 2.0, cy=height / 2.0, width=width, height=height
@@ -69,7 +73,7 @@ def _default_intrinsics(width: int, height: int, fov_deg: float) -> Intrinsics:
 
 # ----------------------------------------------------------------- encode
 
-def cmd_encode(args) -> int:
+def cmd_encode(args) -> None:
     trajectory = rkio.load_trajectory(args.trajectory)
     canonical = canonicalize(trajectory, trajectory.reference_index)
     # the table is built per call, so it holds this module's current bindings
@@ -83,21 +87,22 @@ def cmd_encode(args) -> int:
     for frame in canonical.frames:
         path = os.path.join(args.out_dir, f"frame_{frame.index}.rxl")
         rkio.save_raxel(path, encode(frame, frame.pose), frame.index)
-    return 0
 
 
 # ----------------------------------------------------------------- decode
 
-def _detect_reference(images, width: int, height: int) -> int | None:
+def _detect_reference(images, width: int, height: int) -> int:
     """Position of the image that looks most like an un-moved camera.
 
     For each candidate, recover a focal length under the identity-pose
     assumption, synthesize the ideal identity ray grid for it, and measure
     the registration residual; the true reference frame fits near-exactly.
-    A candidate that fails as a frame can (``FRAME_FAILURES``) is skipped; a
-    ShapeMismatchError fails the detection.
+    A candidate that fails as a frame can (``FRAME_FAILURES``) is skipped.
+    When every candidate fails, raises a RaxelkitError chained from the
+    first candidate's failure, so non-finite pixels exit 2 and degenerate
+    geometry exits 4. A ShapeMismatchError fails the detection.
     """
-    best_pos, best_residual = None, np.inf
+    best_pos, best_residual, first_failure = None, np.inf, None
     for pos, image in enumerate(images):
         try:
             fx, fy, _ = recover_focal(image, Pose.identity(), width, height)
@@ -106,18 +111,23 @@ def _detect_reference(images, width: int, height: int) -> int | None:
             )
             grid = ray_grid(intr)
             result = register(image.data.reshape(-1, 3), grid.reshape(-1, 3))
-        except FRAME_FAILURES:
+        except FRAME_FAILURES as err:
+            # kept without its traceback, whose frames hold this candidate's arrays
+            first_failure = first_failure or err.with_traceback(None)
             continue
         if result.rms_residual < best_residual:
             best_pos, best_residual = pos, result.rms_residual
+    if best_pos is None:
+        raise RaxelkitError(
+            f"no frame can be the reference; the first candidate failed: {first_failure}"
+        ) from first_failure
     return best_pos
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> None:
     names = sorted(n for n in os.listdir(args.raxel_dir) if n.endswith(".rxl"))
     if not names:
-        print(f"error: no .rxl files in {args.raxel_dir}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no .rxl files in {args.raxel_dir}")
     loaded = []
     for name in names:
         image, frame_index = rkio.load_raxel(os.path.join(args.raxel_dir, name))
@@ -126,30 +136,22 @@ def cmd_decode(args) -> int:
     indices = [idx for idx, _ in loaded]
     images = [img for _, img in loaded]
     if len(set(indices)) != len(indices):
-        print("error: duplicate frame indices in directory", file=sys.stderr)
-        return 2
+        raise ValueError("duplicate frame indices in directory")
     shape = images[0].data.shape
     for idx, img in loaded:
         if img.data.shape != shape:
-            print(
-                f"error: frame {idx} grid {img.data.shape[:2]} differs from "
-                f"{shape[:2]}",
-                file=sys.stderr,
+            raise ShapeMismatchError(
+                f"frame {idx} grid {img.data.shape[:2]} differs from {shape[:2]}"
             )
-            return 2
 
     width = args.width if args.width is not None else 2 * shape[1]
     height = args.height if args.height is not None else 2 * shape[0]
     if args.reference is not None:
         if args.reference not in indices:
-            print(f"error: no frame with index {args.reference}", file=sys.stderr)
-            return 2
+            raise ValueError(f"no frame with index {args.reference}")
         reference_pos = indices.index(args.reference)
     else:
         reference_pos = _detect_reference(images, width, height)
-        if reference_pos is None:
-            print("error: all frames degenerate", file=sys.stderr)
-            return 4
 
     decoded, failures = decode_trajectory(images, reference_pos, width, height)
     for failure in failures:
@@ -157,17 +159,8 @@ def cmd_decode(args) -> int:
             f"warning: frame {indices[failure.position]} failed: {failure.error}",
             file=sys.stderr,
         )
-    if decoded[reference_pos] is None:
-        (error,) = [f.error for f in failures if f.position == reference_pos]
-        print(f"error: reference frame {indices[reference_pos]} failed: {error}",
-              file=sys.stderr)
-        if all(d is None for d in decoded):
-            print("error: all frames degenerate", file=sys.stderr)
-        return 4
-
-    trajectory = decoded_trajectory(decoded, indices, reference_pos, width, height)
+    trajectory = decoded_trajectory(decoded, failures, indices, reference_pos, width, height)
     rkio.save_trajectory(args.out_trajectory, trajectory)
-    return 0
 
 
 # -------------------------------------------------------------- roundtrip
@@ -204,7 +197,7 @@ def _write_csv(path: str, rows: list[str]) -> None:
     rkio._atomic_write(path, content.encode("ascii"))
 
 
-def cmd_roundtrip(args) -> int:
+def cmd_roundtrip(args) -> None:
     trajectory = rkio.load_trajectory(args.trajectory)
     rows = _existing_rows(args.csv) if args.csv else []
     report, mrra30, residual = _cycle_report(
@@ -223,12 +216,11 @@ def cmd_roundtrip(args) -> int:
             stem, len(trajectory), args.magnitude, args.seed, report, mrra30, residual, settings
         ))
         _write_csv(args.csv, rows)
-    return 0
 
 
 # ---------------------------------------------------------------- metrics
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> None:
     predicted = rkio.load_trajectory(args.predicted)
     ground_truth = rkio.load_trajectory(args.ground_truth)
     want, have = [f.index for f in ground_truth.frames], [f.index for f in predicted.frames]
@@ -248,12 +240,11 @@ def cmd_metrics(args) -> int:
     print(f"mean_rot_err={report.mean_rotation_error:.6f}")
     print(f"mean_trans_err={report.mean_translation_error:.6f}")
     print(f"mrra30={mrra30:.6f}")
-    return 0
 
 
 # ------------------------------------------------------------------ synth
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     intrinsics = _default_intrinsics(args.width, args.height, args.fov)
     trajectory = generate_trajectory(
         TrajectoryKind(args.kind),
@@ -264,7 +255,6 @@ def cmd_synth(args) -> int:
     if args.reverse:
         trajectory = reverse_trajectory(trajectory)
     rkio.save_trajectory(args.out_trajectory, trajectory)
-    return 0
 
 
 # ------------------------------------------------------------------ bench
@@ -289,7 +279,7 @@ def _resumable_cells(path: str, rows: list[str], settings: tuple) -> set:
     return keys
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args) -> None:
     settings = (args.noise_kind, str(args.width), str(args.height),
                 rkio._fmt(args.fov), rkio._fmt(args.radius))
     rows = _existing_rows(args.out)
@@ -315,7 +305,6 @@ def cmd_bench(args) -> int:
                 ))
                 have.add(key)
     _write_csv(args.out, rows)
-    return 0
 
 
 # ------------------------------------------------------------------ wiring
@@ -411,10 +400,11 @@ def _exit_code(err: Exception) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (RaxelkitError, ValueError, IndexError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
+    return 0
 
 
 if __name__ == "__main__":

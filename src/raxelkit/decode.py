@@ -252,6 +252,7 @@ def decode_trajectory(
 
 def decoded_trajectory(
     decoded: list[DecodedFrame | None],
+    failures: list[DecodeFailure],
     indices: list[int],
     reference_position: int,
     width: int,
@@ -260,12 +261,16 @@ def decoded_trajectory(
     """The decoded frames as a trajectory, with the principal point at the
     image center.
 
+    ``decoded`` and ``failures`` are what ``decode_trajectory`` returned.
     Failed frames (None) are dropped; the others keep their frame indices,
-    and the reference index follows the reference frame. Raises ValueError
-    when the reference frame itself failed.
+    and the reference index follows the reference frame. When the reference
+    frame itself failed, raises a RaxelkitError chained from its failure.
     """
-    if decoded[reference_position] is None:
-        raise ValueError(f"reference frame {indices[reference_position]} failed to decode")
+    for failure in failures:
+        if failure.position == reference_position:
+            raise RaxelkitError(
+                f"reference frame {indices[reference_position]} failed: {failure.error}"
+            ) from failure.error
     frames = tuple(
         CameraFrame(
             intrinsics=Intrinsics(fx=d.fx_hat, fy=d.fy_hat, cx=width / 2.0,

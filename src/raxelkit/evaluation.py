@@ -300,6 +300,7 @@ def cycle_consistency_run(
 
     predicted = decoded_trajectory(
         decoded,
+        failures,
         [f.index for f in canonical.frames],
         canonical.reference_index,
         intr.width,

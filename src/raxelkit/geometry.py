@@ -155,8 +155,8 @@ class Intrinsics:
     height: int
 
     def __post_init__(self):
-        if self.fx <= 0.0 or self.fy <= 0.0:
-            raise ValueError("focal lengths must be positive")
+        if not (0.0 < self.fx < np.inf and 0.0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be positive and finite")
         if not (isinstance(self.width, int) and isinstance(self.height, int)):
             raise ValueError("image dimensions must be integers")
         if self.width <= 0 or self.height <= 0:

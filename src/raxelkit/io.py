@@ -148,7 +148,10 @@ def load_trajectory(path: str) -> Trajectory:
 
 
 def save_raxel(path: str, grid: RayGrid, frame_index: int) -> None:
-    """Write a grid of any kind; the payload is written without copying."""
+    """Write a grid of any kind; the payload is written without copying. A
+    frame index the uint32 header field cannot hold is a ValueError."""
+    if not 0 <= frame_index <= 0xFFFFFFFF:
+        raise ValueError(f"frame index {frame_index} does not fit the grid file's uint32 field")
     header = _MAGIC_BY_CHANNELS[grid.kind.channels] + _HEADER_STRUCT.pack(
         grid.height_r, grid.width_r, frame_index
     )

@@ -243,6 +243,58 @@ def test_decode_all_degenerate(tmp_path, capsys):
     assert run("decode", grids, tmp_path / "p.traj", "--reference", 0) == 4
 
 
+@pytest.mark.parametrize("fill, code, cause", [
+    ("nan", 2, "target contains non-finite coordinates"),
+    ("constant", 4, "focal inlier fractions 0.000/0.000 below 0.1"),
+])
+def test_decode_without_a_qualifying_reference_reports_the_first_failure(
+    tmp_path, capsys, fill, code, cause
+):
+    # when every candidate fails, the exit code follows the first failure:
+    # non-finite pixels are bad input (2), as with --reference 0; flat rays
+    # are degenerate geometry (4)
+    _, grids = _synth_encode(tmp_path)
+    for path in grids.iterdir():
+        image, index = load_raxel(str(path))
+        data = image.data.copy()
+        if fill == "nan":
+            data[5, 7, 2] = np.nan
+        else:
+            data[...] = (0.0, 0.0, 1.0)
+        save_raxel(str(path), RayGrid(data), index)
+    out = tmp_path / "p.traj"
+    capsys.readouterr()
+    assert run("decode", grids, out) == code
+    assert capsys.readouterr().err == (
+        f"error: no frame can be the reference; the first candidate failed: {cause}\n"
+    )
+    assert not out.exists()
+    if fill == "nan":
+        assert run("decode", grids, out, "--reference", 0) == 2
+
+
+@pytest.mark.parametrize("case", ["no-files", "duplicates", "grid-differs", "no-such-index"])
+def test_decode_usage_errors_keep_their_messages(tmp_path, capsys, case):
+    _, grids = _synth_encode(tmp_path, frames=3)
+    extra = ()
+    if case == "no-files":
+        for path in grids.iterdir():
+            path.unlink()
+        expected = f"error: no .rxl files in {grids}\n"
+    elif case == "duplicates":
+        (grids / "frame_9.rxl").write_bytes(_read(grids / "frame_1.rxl"))
+        expected = "error: duplicate frame indices in directory\n"
+    elif case == "grid-differs":
+        save_raxel(str(grids / "frame_9.rxl"), RayGrid(np.zeros((10, 16, 3)) + [0, 0, 1]), 9)
+        expected = "error: frame 9 grid (10, 16) differs from (24, 32)\n"
+    else:
+        extra = ("--reference", 42)
+        expected = "error: no frame with index 42\n"
+    capsys.readouterr()
+    assert run("decode", grids, tmp_path / "p.traj", *extra) == 2
+    assert capsys.readouterr().err == expected
+
+
 def test_decode_names_a_failed_reference_frame(tmp_path, capsys):
     # frame 4 of an arc encoded against frame 0 is not an identity-pose frame
     _, grids = _synth_encode(tmp_path, kind="arcleft", frames=9, width=96, height=64)
@@ -626,6 +678,7 @@ def _error_id(param):
         (InsufficientInliersError("few"), 4),
         (_raised_from(DegenerateGeometryError("flat")), 4),
         (_raised_from(InsufficientInliersError("few")), 4),
+        (_raised_from(NonFiniteInputError("nan")), 2),
         (TrajectoryParseError("bad", 3), 2),
         (NonFiniteInputError("nan"), 2),
         (ValueError("bad"), 2),
@@ -641,6 +694,46 @@ def test_exit_code_per_exception_class(tmp_path, monkeypatch, capsys, error, cod
     monkeypatch.setattr(cli, "cmd_metrics", fail)
     assert run("metrics", tmp_path / "a.traj", tmp_path / "b.traj") == code
     assert capsys.readouterr().err.startswith("error: ")
+
+
+_SMALL_BENCH = ("bench", "--out", "{out}", "--kinds", "orbit", "--magnitudes", 0.01,
+                "--seeds", 1, "--frames", 5, "--width", 64, "--height", 48)
+
+
+@pytest.mark.parametrize("argv", [
+    *[("synth", "orbit", 5, "{out}", "--fov", fov) for fov in ("0", "nan", "inf", "180")],
+    *[(*_SMALL_BENCH, "--fov", fov) for fov in ("0", "nan", "inf", "180")],
+    ("encode", "{far}", "{out}"),
+    ("roundtrip", "{traj}", "--magnitude", "inf"),
+    ("roundtrip", "{traj}", "--magnitude", "nan"),
+    ("synth", "orbit", 5, "{out}", "--width", -4),
+    (*_SMALL_BENCH, "--width", -4),
+    ("synth", "orbit", 5, "{out}", "--radius", "nan"),
+    (*_SMALL_BENCH, "--radius", "nan"),
+], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}")
+def test_hostile_arguments_exit_with_a_documented_code(tmp_path, capsys, argv):
+    # every failure leaves main through its exit-code table, never as a traceback
+    traj, far = tmp_path / "t.traj", tmp_path / "far.traj"
+    run("synth", "orbit", 5, traj, "--width", 64, "--height", 48)
+    frames = load_trajectory(str(traj)).frames
+    # a frame index the grid file's uint32 header field cannot hold
+    save_trajectory(str(far), Trajectory((frames[0], replace(frames[1], index=2**32)), 0))
+    capsys.readouterr()
+    argv = [str(a).format(traj=traj, far=far, out=tmp_path / "out") for a in argv]
+    assert main(argv) in (2, 3, 4)
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["synth", "bench"])
+@pytest.mark.parametrize("fov", ["0", "nan", "inf", "180"])
+def test_fov_outside_0_to_180_is_refused_before_any_work(tmp_path, capsys, command, fov):
+    out = tmp_path / "out"
+    argv = ("synth", "orbit", 5, out) if command == "synth" else _SMALL_BENCH
+    assert run(*[str(a).format(out=out) for a in argv], "--fov", fov) == 2
+    assert capsys.readouterr().err == (
+        f"error: field of view {fov} is not strictly between 0 and 180 degrees\n"
+    )
+    assert not out.exists()
 
 
 def test_usage_error_exits_2():

@@ -257,6 +257,11 @@ class TestValidation:
             Intrinsics(500.0, 500.0, 640.0, 240.0, 640, 480)
         with pytest.raises(ValueError):
             Intrinsics(500.0, 500.0, 320.0, 240.0, -640, 480)
+        for focal in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                Intrinsics(focal, 500.0, 320.0, 240.0, 640, 480)
+            with pytest.raises(ValueError):
+                Intrinsics(500.0, focal, 320.0, 240.0, 640, 480)
 
     def test_trajectory_invariants(self):
         intr = Intrinsics(500.0, 500.0, 320.0, 240.0, 640, 480)

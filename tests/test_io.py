@@ -343,6 +343,14 @@ def test_written_files_respect_umask(tmp_path, umask):
         assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
 
 
+@pytest.mark.parametrize("frame_index", [-1, 2**32])
+def test_frame_index_outside_uint32_is_refused_before_writing(tmp_path, frame_index):
+    path = tmp_path / "f.rxl"
+    with pytest.raises(ValueError, match=f"frame index {frame_index} "):
+        save_raxel(str(path), RayGrid(np.zeros((1, 1, 3)) + [0, 0, 1]), frame_index)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_large_frame_index_round_trips(tmp_path):
     path = str(tmp_path / "f.rxl")
     save_raxel(path, RayGrid(np.zeros((1, 1, 3)) + [0, 0, 1]), 4_000_000_000)
