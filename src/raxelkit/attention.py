@@ -237,11 +237,16 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
     return (x - mean) / np.sqrt(var + LAYERNORM_EPS) * gain
 
 
+def _softmax_rows_inplace(scores: np.ndarray) -> np.ndarray:
+    """Row softmax of ``scores``, written over it; returns ``scores``."""
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    return scores
+
+
 def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    out = scores - scores.max(axis=-1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
-    return out
+    return _softmax_rows_inplace(scores.copy())
 
 
 def _split_heads(x: np.ndarray, head_count: int) -> np.ndarray:
@@ -279,7 +284,7 @@ def _attend(
     k = _rope_apply(k, kv_positions)
     scores = q @ k.transpose(0, 2, 1)
     scores /= np.sqrt(head_dim)
-    attn = _softmax_rows(scores)
+    attn = _softmax_rows_inplace(scores)
     return _merge_heads(attn @ v) @ w_output
 
 

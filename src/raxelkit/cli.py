@@ -39,7 +39,7 @@ from .evaluation import (
     reverse_trajectory,
 )
 from .geometry import Intrinsics, Pose, canonicalize
-from .rays import GridKind, encode_plucker, encode_raxel, encode_raymap, ray_grid
+from .rays import GridKind, RayGrid, encode_plucker, encode_raxel, encode_raymap, ray_grid
 from .registration import register
 
 CSV_HEADER = (
@@ -63,6 +63,9 @@ _GEOMETRIC_ERRORS = (DegenerateGeometryError, InsufficientInliersError)
 
 
 def _default_intrinsics(width: int, height: int, fov_deg: float) -> Intrinsics:
+    # checked here, since a bad width would otherwise surface as a bad focal
+    if width <= 0 or height <= 0:
+        raise ValueError(f"image size {width}x{height} is not positive")
     if not 0.0 < fov_deg < 180.0:
         raise ValueError(f"field of view {fov_deg:g} is not strictly between 0 and 180 degrees")
     focal = (width / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
@@ -83,6 +86,9 @@ def cmd_encode(args) -> None:
         GridKind.PLUCKER: encode_plucker,
         GridKind.RAYMAP: encode_raymap,
     }[GridKind(args.representation)]
+    # every index is checked before the first file is written
+    for frame in canonical.frames:
+        rkio.check_frame_index(frame.index)
     os.makedirs(args.out_dir, exist_ok=True)
     for frame in canonical.frames:
         path = os.path.join(args.out_dir, f"frame_{frame.index}.rxl")
@@ -94,9 +100,10 @@ def cmd_encode(args) -> None:
 def _detect_reference(images, width: int, height: int) -> int:
     """Position of the image that looks most like an un-moved camera.
 
-    For each candidate, recover a focal length under the identity-pose
-    assumption, synthesize the ideal identity ray grid for it, and measure
-    the registration residual; the true reference frame fits near-exactly.
+    Reads each element of the sized sequence ``images`` once. For each
+    candidate, recover a focal length under the identity-pose assumption,
+    synthesize the ideal identity ray grid for it, and measure the
+    registration residual; the true reference frame fits near-exactly.
     A candidate that fails as a frame can (``FRAME_FAILURES``) is skipped.
     When every candidate fails, raises a RaxelkitError chained from the
     first candidate's failure, so non-finite pixels exit 2 and degenerate
@@ -124,25 +131,52 @@ def _detect_reference(images, width: int, height: int) -> int:
     return best_pos
 
 
+class _GridFiles:
+    """A directory's grid files, in frame-index order, as a sized sequence:
+    element k is loaded when it is read and checked against the header the
+    first pass read, so no grid outlives its reader's use of it. A file whose
+    header changed in between is a ValueError that names it."""
+
+    def __init__(self, files: list[tuple[rkio.GridHeader, str]]):
+        self._files = files
+
+    def __len__(self) -> int:
+        return len(self._files)
+
+    def __getitem__(self, k: int) -> RayGrid:
+        header, path = self._files[k]
+        grid, frame_index = rkio.load_raxel(path)
+        now = (grid.height_r, grid.width_r, frame_index)
+        if now != header:
+            raise ValueError(
+                f"{path} changed during the decode: its header now states grid "
+                f"{now[:2]} and frame {frame_index}, not grid {header[:2]} and "
+                f"frame {header.frame_index}"
+            )
+        return grid
+
+
 def cmd_decode(args) -> None:
     names = sorted(n for n in os.listdir(args.raxel_dir) if n.endswith(".rxl"))
     if not names:
         raise ValueError(f"no .rxl files in {args.raxel_dir}")
-    loaded = []
-    for name in names:
-        image, frame_index = rkio.load_raxel(os.path.join(args.raxel_dir, name))
-        loaded.append((frame_index, image))
-    loaded.sort(key=lambda pair: pair[0])
-    indices = [idx for idx, _ in loaded]
-    images = [img for _, img in loaded]
+    paths = [os.path.join(args.raxel_dir, name) for name in names]
+    # first pass, headers only: the grids are loaded as the decode reads them
+    files = sorted(
+        ((rkio.load_raxel_header(path), path) for path in paths),
+        key=lambda pair: pair[0].frame_index,
+    )
+    headers = [header for header, _ in files]
+    indices = [header.frame_index for header in headers]
     if len(set(indices)) != len(indices):
         raise ValueError("duplicate frame indices in directory")
-    shape = images[0].data.shape
-    for idx, img in loaded:
-        if img.data.shape != shape:
+    shape = headers[0][:2]
+    for header in headers:
+        if header[:2] != shape:
             raise ShapeMismatchError(
-                f"frame {idx} grid {img.data.shape[:2]} differs from {shape[:2]}"
+                f"frame {header.frame_index} grid {header[:2]} differs from {shape}"
             )
+    images = _GridFiles(files)
 
     width = args.width if args.width is not None else 2 * shape[1]
     height = args.height if args.height is not None else 2 * shape[0]

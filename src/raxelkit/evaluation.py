@@ -160,12 +160,15 @@ def generate_trajectory(
     """Synthetic camera path of the requested kind, canonicalized to frame 0.
 
     ``scale`` is the circle radius for the arc and orbit kinds and the total
-    path length for the line kind; the still kind ignores it. The arcs sweep
+    path length for the line kind; the still kind ignores it, but a
+    non-finite scale is a ValueError for every kind. The arcs sweep
     a quarter circle at uniform angular speed while looking at the scene
     center; the orbit is a full uniform circle. All kinds are closed-form.
     """
     if frame_count < 1:
         raise ValueError(f"frame_count must be >= 1, got {frame_count}")
+    if not np.isfinite(scale):
+        raise ValueError(f"radius or path length {scale} is not finite")
 
     def look_at_center(phi):
         # camera on the circle, +z axis pointing at the origin

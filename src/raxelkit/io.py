@@ -15,7 +15,9 @@ Ray grid binary format: 4-byte magic, picked by the grid kind's channel
 count (``RXL1`` for 3-channel raxel images, ``RXM1`` for 6-channel maps),
 three little-endian uint32 fields (height_r, width_r, frame_index), then
 the row-major, channel-interleaved float64 payload. File length is checked
-exactly. ``save_raxel``/``load_raxel`` handle every kind; the file does not
+exactly, from the header and ``fstat`` before the payload is read, so
+``load_raxel_header`` reads only the header and makes the same checks.
+``save_raxel``/``load_raxel`` handle every kind; the file does not
 record which 6-channel layout was saved, so the loader takes the kind.
 
 All writers stage to a temporary file in the target directory and rename,
@@ -28,6 +30,7 @@ from __future__ import annotations
 import os
 import secrets
 import struct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,33 +150,66 @@ def load_trajectory(path: str) -> Trajectory:
         return parse_trajectory(fh.read())
 
 
+def check_frame_index(frame_index: int) -> None:
+    """ValueError for a frame index the uint32 header field cannot hold."""
+    if not 0 <= frame_index <= 0xFFFFFFFF:
+        raise ValueError(f"frame index {frame_index} does not fit the grid file's uint32 field")
+
+
 def save_raxel(path: str, grid: RayGrid, frame_index: int) -> None:
     """Write a grid of any kind; the payload is written without copying. A
     frame index the uint32 header field cannot hold is a ValueError."""
-    if not 0 <= frame_index <= 0xFFFFFFFF:
-        raise ValueError(f"frame index {frame_index} does not fit the grid file's uint32 field")
+    check_frame_index(frame_index)
     header = _MAGIC_BY_CHANNELS[grid.kind.channels] + _HEADER_STRUCT.pack(
         grid.height_r, grid.width_r, frame_index
     )
     _atomic_write(path, header, np.ascontiguousarray(grid.data, dtype="<f8"))
 
 
+class GridHeader(NamedTuple):
+    """What a grid file's 16-byte header states."""
+
+    height_r: int
+    width_r: int
+    frame_index: int
+
+
+def _read_header(fh, path: str, kind: GridKind) -> GridHeader:
+    """The header of the open grid file ``fh``; raises RaxelFileError when
+    the magic does not fit ``kind`` or the file's length (from fstat) is not
+    exactly that of the grid the header states."""
+    channels = kind.channels
+    magic = _MAGIC_BY_CHANNELS[channels]
+    head = fh.read(16)
+    if len(head) < 16 or head[:4] != magic:
+        raise RaxelFileError(f"{path}: bad magic, expected {magic!r}")
+    header = GridHeader(*_HEADER_STRUCT.unpack(head[4:]))
+    size = os.fstat(fh.fileno()).st_size
+    expected = 16 + header.height_r * header.width_r * channels * 8
+    if size != expected:
+        raise RaxelFileError(
+            f"{path}: payload is {size} bytes, expected exactly {expected} "
+            f"for a {header.height_r}x{header.width_r}x{channels} grid"
+        )
+    return header
+
+
+def load_raxel_header(path: str, kind: GridKind = GridKind.RAXEL) -> GridHeader:
+    """Read only the header of a grid file of the stated ``kind``, with the
+    checks ``load_raxel`` makes before it reads the payload."""
+    with open(path, "rb", buffering=0) as fh:
+        return _read_header(fh, path, kind)
+
+
 def load_raxel(path: str, kind: GridKind = GridKind.RAXEL) -> tuple[RayGrid, int]:
     """Read a grid of the stated ``kind``; raises RaxelFileError when the
     magic or the exact file length does not fit it."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    channels = kind.channels
-    magic = _MAGIC_BY_CHANNELS[channels]
-    if len(blob) < 16 or blob[:4] != magic:
-        raise RaxelFileError(f"{path}: bad magic, expected {magic!r}")
-    h, w, frame_index = _HEADER_STRUCT.unpack(blob[4:16])
-    expected = 16 + h * w * channels * 8
-    if len(blob) != expected:
-        raise RaxelFileError(
-            f"{path}: payload is {len(blob)} bytes, expected exactly {expected} "
-            f"for a {h}x{w}x{channels} grid"
-        )
-    # a read-only view of the immutable blob, so RayGrid keeps it uncopied
-    data = np.frombuffer(blob, dtype="<f8", offset=16).reshape(h, w, channels)
+    # unbuffered, so the payload is read in one allocation after the header
+    with open(path, "rb", buffering=0) as fh:
+        h, w, frame_index = _read_header(fh, path, kind)
+        payload = fh.read()
+    if len(payload) != h * w * kind.channels * 8:
+        raise RaxelFileError(f"{path}: changed while it was being read")
+    # a read-only view of the immutable payload, so RayGrid keeps it uncopied
+    data = np.frombuffer(payload, dtype="<f8").reshape(h, w, kind.channels)
     return RayGrid(data, kind), frame_index

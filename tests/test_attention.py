@@ -1,6 +1,7 @@
 """Tests for the two-branch attention block against dense-loop oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from raxelkit.attention import (
     self_attention,
 )
 from raxelkit.attention import _softmax_rows
-from raxelkit.attention import _gelu, _rope_apply
+from raxelkit.attention import _attend, _gelu, _rope_apply
 from raxelkit.errors import ShapeMismatchError
 
 D_MODEL = 24
@@ -463,6 +464,26 @@ class TestInPlaceKernels:
         before = scores.copy()
         assert np.array_equal(_softmax_rows(scores), formula_softmax(scores))
         assert np.array_equal(scores, before)
+
+    def test_attend_normalizes_its_scores_in_place(self):
+        # one (heads, n, n) score tensor; a second copy for the softmax would
+        # put the peak above twice its size
+        params = init_dsca_params(3, GEN_D_MODEL, GEN_HEADS)
+        branch = params.ray
+        positions = generate_positions()
+        n = len(positions)
+        tokens = np.random.default_rng(55).normal(size=(n, GEN_D_MODEL))
+        args = (tokens, positions, tokens, positions, branch.self_query, branch.self_key,
+                branch.self_value, branch.self_output, GEN_HEADS)
+        _attend(*args)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            _attend(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - baseline) / (GEN_HEADS * n * n * 8) <= 1.5
 
     def test_gelu_matches_pow_formula(self):
         rng = np.random.default_rng(53)

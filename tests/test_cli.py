@@ -3,12 +3,14 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from raxelkit import cli
+from raxelkit import io as rkio
 from raxelkit.cli import main
 from raxelkit.errors import (
     DegenerateGeometryError,
@@ -128,6 +130,20 @@ def test_encode_malformed_input_writes_nothing(tmp_path, capsys):
     assert run("encode", bad, out) == 2
     assert not out.exists()
     assert "line 1" in capsys.readouterr().err
+
+
+def test_encode_checks_every_frame_index_before_writing(tmp_path, capsys):
+    traj, far = tmp_path / "t.traj", tmp_path / "far.traj"
+    run("synth", "orbit", 2, traj, "--width", 64, "--height", 48)
+    frames = load_trajectory(str(traj)).frames
+    save_trajectory(str(far), Trajectory((frames[0], replace(frames[1], index=2**32)), 0))
+    out = tmp_path / "grids"
+    capsys.readouterr()
+    assert run("encode", far, out) == 2
+    assert capsys.readouterr().err == (
+        "error: frame index 4294967296 does not fit the grid file's uint32 field\n"
+    )
+    assert not out.exists()
 
 
 def test_encode_missing_input_is_io_error(tmp_path):
@@ -392,6 +408,64 @@ def test_decode_respects_explicit_dims(tmp_path):
     assert run("decode", grids, out, "--width", 64, "--height", 48) == 0
     rot, _ = _pose_agreement(out, traj)
     assert rot < 1e-9
+
+
+@pytest.mark.parametrize("extra, reads", [((), 2), (("--reference", 0), 1)],
+                         ids=["auto", "reference"])
+def test_decode_loads_each_grid_once_per_pass(tmp_path, monkeypatch, extra, reads):
+    # detection is one pass over the files and the decode another
+    _, grids = _synth_encode(tmp_path)
+    loads, load = [], rkio.load_raxel
+
+    def counting_load(path, *rest):
+        loads.append(os.path.basename(path))
+        return load(path, *rest)
+
+    monkeypatch.setattr(rkio, "load_raxel", counting_load)
+    assert run("decode", grids, tmp_path / "p.traj", *extra) == 0
+    assert sorted(loads) == sorted(f"frame_{k}.rxl" for k in range(5) for _ in range(reads))
+
+
+def test_decode_holds_about_one_grid_at_a_time(tmp_path):
+    # all 41 grids held at once would be over 41 grid sizes
+    traj, grids = tmp_path / "gt.traj", tmp_path / "grids"
+    run("synth", "orbit", 41, traj, "--width", 256, "--height", 192, "--reverse")
+    run("encode", traj, grids)
+    grid_bytes = 96 * 128 * 3 * 8
+    out = tmp_path / "p.traj"
+    tracemalloc.start()
+    try:
+        assert run("decode", grids, out) == 0
+        tracemalloc.reset_peak()
+        baseline = tracemalloc.get_traced_memory()[0]
+        assert run("decode", grids, out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - baseline) / grid_bytes < 10
+    assert load_trajectory(str(out)).reference_index == 40
+
+
+def test_decode_names_a_file_rewritten_after_detection(tmp_path, monkeypatch, capsys):
+    _, grids = _synth_encode(tmp_path)
+    path = grids / "frame_2.rxl"
+    image, _ = load_raxel(str(path))
+    detect = cli._detect_reference
+
+    def detect_then_rewrite(images, width, height):
+        position = detect(images, width, height)
+        save_raxel(str(path), image, 7)
+        return position
+
+    monkeypatch.setattr(cli, "_detect_reference", detect_then_rewrite)
+    out = tmp_path / "p.traj"
+    capsys.readouterr()
+    assert run("decode", grids, out) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path} changed during the decode: its header now states grid (24, 32) "
+        "and frame 7, not grid (24, 32) and frame 2\n"
+    )
+    assert not out.exists()
 
 
 # -------------------------------------------------------------- roundtrip
@@ -710,6 +784,8 @@ _SMALL_BENCH = ("bench", "--out", "{out}", "--kinds", "orbit", "--magnitudes", 0
     (*_SMALL_BENCH, "--width", -4),
     ("synth", "orbit", 5, "{out}", "--radius", "nan"),
     (*_SMALL_BENCH, "--radius", "nan"),
+    ("synth", "orbit", 5, "{out}", "--radius", "inf"),
+    (*_SMALL_BENCH, "--radius", "inf"),
 ], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}")
 def test_hostile_arguments_exit_with_a_documented_code(tmp_path, capsys, argv):
     # every failure leaves main through its exit-code table, never as a traceback
@@ -733,6 +809,31 @@ def test_fov_outside_0_to_180_is_refused_before_any_work(tmp_path, capsys, comma
     assert capsys.readouterr().err == (
         f"error: field of view {fov} is not strictly between 0 and 180 degrees\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "bench"])
+@pytest.mark.parametrize("radius", ["inf", "nan"])
+def test_non_finite_radius_is_refused_before_the_path_is_built(tmp_path, capsys, command,
+                                                               radius):
+    # inf times the zero of a circle's y axis would warn; warnings are errors here
+    out = tmp_path / "out"
+    argv = ("synth", "orbit", 5, out) if command == "synth" else _SMALL_BENCH
+    assert run(*[str(a).format(out=out) for a in argv], "--radius", radius) == 2
+    assert capsys.readouterr().err == f"error: radius or path length {radius} is not finite\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "bench"])
+@pytest.mark.parametrize("flag, value, size", [
+    ("--width", -4, "-4x48"), ("--width", 0, "0x48"), ("--height", -4, "64x-4"),
+])
+def test_non_positive_image_size_is_named(tmp_path, capsys, command, flag, value, size):
+    out = tmp_path / "out"
+    argv = ("synth", "orbit", 5, out, "--width", 64, "--height", 48) \
+        if command == "synth" else _SMALL_BENCH
+    assert run(*[str(a).format(out=out) for a in argv], flag, value) == 2
+    assert capsys.readouterr().err == f"error: image size {size} is not positive\n"
     assert not out.exists()
 
 

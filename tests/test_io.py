@@ -19,6 +19,7 @@ from raxelkit.geometry import (
 from raxelkit.io import (
     format_trajectory,
     load_raxel,
+    load_raxel_header,
     load_trajectory,
     parse_trajectory,
     save_raxel,
@@ -267,6 +268,32 @@ def test_raxel_trailing_bytes(tmp_path):
     Path(path).write_bytes(blob + b"\x00" * 4)
     with pytest.raises(RaxelFileError):
         load_raxel(path)
+
+
+def test_header_is_read_without_the_payload(tmp_path):
+    path = str(tmp_path / "f.rxl")
+    save_raxel(path, RayGrid(np.zeros((2, 3, 3)) + [0, 0, 1]), 7)
+    header = load_raxel_header(path)
+    assert header == (2, 3, 7)
+    assert (header.height_r, header.width_r, header.frame_index) == (2, 3, 7)
+
+
+@pytest.mark.parametrize("damage", ["magic", "short", "truncated", "trailing"])
+def test_header_and_grid_readers_refuse_a_file_alike(tmp_path, damage):
+    # one reader checks the header and the exact length for both
+    path = tmp_path / "f.rxl"
+    save_raxel(str(path), RayGrid(np.zeros((2, 2, 3)) + [0, 0, 1]), 0)
+    blob = path.read_bytes()
+    path.write_bytes({
+        "magic": b"XXXX" + blob[4:], "short": blob[:10],
+        "truncated": blob[:-8], "trailing": blob + b"\x00" * 4,
+    }[damage])
+    with pytest.raises(RaxelFileError) as header_error:
+        load_raxel_header(str(path))
+    with pytest.raises(RaxelFileError) as grid_error:
+        load_raxel(str(path))
+    assert str(header_error.value) == str(grid_error.value)
+    assert str(path) in str(grid_error.value)
 
 
 def test_raxel_rejects_raymap_magic(tmp_path):
