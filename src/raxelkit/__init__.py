@@ -36,7 +36,6 @@ from .errors import (
     InvalidFrameCountError,
     LengthMismatchError,
     NonFiniteInputError,
-    NonPositiveWeightSumError,
     RaxelFileError,
     RaxelkitError,
     ReferenceMismatchError,
@@ -99,7 +98,7 @@ from .rays import (
     grid_pixel_coordinates,
     ray_grid,
 )
-from .registration import RegistrationResult, register, register_weighted
+from .registration import RegistrationResult, register
 
 __version__ = "0.1.0"
 
@@ -121,7 +120,6 @@ __all__ = [
     "LossReport",
     "Modality",
     "NonFiniteInputError",
-    "NonPositiveWeightSumError",
     "PerturbationKind",
     "PerturbationSpec",
     "Pose",
@@ -171,7 +169,6 @@ __all__ = [
     "recover_focal",
     "recover_pose",
     "register",
-    "register_weighted",
     "reverse_trajectory",
     "rope_rotate",
     "rotation_angle",

@@ -62,10 +62,15 @@ _NOISE_NAMES = sorted(kind.value for kind in PerturbationKind)
 _GEOMETRIC_ERRORS = (DegenerateGeometryError, InsufficientInliersError)
 
 
-def _default_intrinsics(width: int, height: int, fov_deg: float) -> Intrinsics:
-    # checked here, since a bad width would otherwise surface as a bad focal
+def _check_image_size(width: int, height: int) -> None:
+    # checked by name, since a bad size would otherwise surface as a bad
+    # focal (synth, bench) or a grid mismatch (decode)
     if width <= 0 or height <= 0:
         raise ValueError(f"image size {width}x{height} is not positive")
+
+
+def _default_intrinsics(width: int, height: int, fov_deg: float) -> Intrinsics:
+    _check_image_size(width, height)
     if not 0.0 < fov_deg < 180.0:
         raise ValueError(f"field of view {fov_deg:g} is not strictly between 0 and 180 degrees")
     focal = (width / 2.0) / math.tan(math.radians(fov_deg) / 2.0)
@@ -180,6 +185,7 @@ def cmd_decode(args) -> None:
 
     width = args.width if args.width is not None else 2 * shape[1]
     height = args.height if args.height is not None else 2 * shape[0]
+    _check_image_size(width, height)
     if args.reference is not None:
         if args.reference not in indices:
             raise ValueError(f"no frame with index {args.reference}")
@@ -314,6 +320,9 @@ def _resumable_cells(path: str, rows: list[str], settings: tuple) -> set:
 
 
 def cmd_bench(args) -> None:
+    # --seeds 0 computes no cell: it checks and rewrites a finished file
+    if args.seeds < 0:
+        raise ValueError(f"seed count {args.seeds} is negative")
     settings = (args.noise_kind, str(args.width), str(args.height),
                 rkio._fmt(args.fov), rkio._fmt(args.radius))
     rows = _existing_rows(args.out)

@@ -13,10 +13,6 @@ class DegenerateGeometryError(RaxelkitError):
     """Point geometry too degenerate to constrain a rigid transform."""
 
 
-class NonPositiveWeightSumError(RaxelkitError):
-    """Weighted registration called with weights summing to zero."""
-
-
 class NonFiniteInputError(RaxelkitError, ValueError):
     """Input coordinates contain NaN or infinity."""
 

@@ -16,8 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decode import decode_trajectory, decoded_trajectory
+from .decode import decode_trajectory, decoded_trajectory, recover_pose
 from .errors import (
+    DegenerateGeometryError,
     LengthMismatchError,
     NonFiniteInputError,
     RaxelkitError,
@@ -259,6 +260,19 @@ class _DamagedFrames:
         return perturb(clean, replace(self._spec, seed=int(self._seeds[k])))
 
 
+def _clean_frame_overflows(canonical: Trajectory, pos: int) -> bool:
+    """Whether frame ``pos``'s clean grid is too large to register against
+    the clean reference grid."""
+    ref, frame = canonical.frames[canonical.reference_index], canonical.frames[pos]
+    try:
+        recover_pose(encode_raxel(frame, frame.pose), encode_raxel(ref, ref.pose))
+    except NonFiniteInputError:
+        return True
+    except DegenerateGeometryError:
+        pass  # it does not overflow
+    return False
+
+
 def cycle_consistency_run(
     ground_truth: Trajectory, spec: PerturbationSpec
 ) -> tuple[PoseErrorReport, float, float]:
@@ -272,7 +286,8 @@ def cycle_consistency_run(
     the ground truth, mRRA at 30 degrees, and the mean per-pixel distance
     between the re-encoded and the clean raxel images. Decode failures are
     raised with their frame index; pixels that the perturbation made
-    non-finite, or too large to register, are reported first and name it.
+    non-finite, or too large to register, are reported first and name it,
+    unless the clean grid is already too large, which names the trajectory.
     """
     intr = ground_truth.frames[0].intrinsics
     for f in ground_truth.frames:
@@ -282,8 +297,8 @@ def cycle_consistency_run(
     canonical = canonicalize(ground_truth, ground_truth.reference_index)
     # held here: the re-encodes at decoded intrinsics evict it from the cache
     dirs = ray_grid(intr)
-    # the clean grids are finite, so non-finite or overflowing pixels come
-    # from the perturbation; they explain any other failure, so they go first
+    # the clean grids are finite, so non-finite pixels come from the
+    # perturbation; they explain any other failure, so they go first
     damage = f"the {spec.kind.value} perturbation of magnitude {spec.magnitude:g}"
     try:
         decoded, failures = decode_trajectory(
@@ -294,8 +309,12 @@ def cycle_consistency_run(
     if failures:
         non_finite = [f for f in failures if isinstance(f.error, NonFiniteInputError)]
         first = (non_finite or failures)[0]
-        cause = (f"{damage} produced non-finite or overflowing pixels: "
-                 if isinstance(first.error, NonFiniteInputError) else "")
+        cause = ""
+        if isinstance(first.error, NonFiniteInputError):
+            # a clean grid can itself overflow registration: blame it, not the damage
+            cause = ("the trajectory's coordinates are too large to register: "
+                     if _clean_frame_overflows(canonical, first.position)
+                     else f"{damage} produced non-finite or overflowing pixels: ")
         raise RaxelkitError(
             f"frame {canonical.frames[first.position].index} failed to decode: "
             f"{cause}{first.error}"

@@ -98,13 +98,6 @@ class Pose:
     def identity(cls) -> "Pose":
         return cls(np.eye(3), np.zeros(3))
 
-    def as_matrix(self) -> np.ndarray:
-        """Homogeneous 4x4 form of the transform."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
-
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Rigid transform equal to applying ``b`` first, then ``a``."""

@@ -1,11 +1,11 @@
 """Closed-form least-squares rigid alignment of corresponded 3D point sets.
 
-Solves argmin over SE(3) of sum_i w_i ||target_i - (R @ source_i + T)||^2 via
+Solves argmin over SE(3) of sum_i ||target_i - (R @ source_i + T)||^2 via
 the Kabsch construction: centroid subtraction, SVD of the cross-covariance,
 and a determinant correction that excludes reflections.
 
 The source side is reduced once (``_prepare_source``): its centroid, its
-weight-scaled centred points as contiguous x/y/z rows, and their row sums.
+centred points as contiguous x/y/z rows, and their row sums.
 Each target then costs one gemv for its centroid, one gemm for the
 cross-covariance ``src_c^T @ tgt - outer(sum(src_c), centroid_t)`` (the
 target is never centred explicitly), a 3x3 SVD, and one gemm mapping the
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import (
     DegenerateGeometryError,
     NonFiniteInputError,
-    NonPositiveWeightSumError,
     ShapeMismatchError,
 )
 from .geometry import Pose
@@ -53,10 +52,9 @@ class _PreparedSource:
     """A source point set reduced once for registering many targets.
 
     ``rows`` is the source as a contiguous (3, n) array of x/y/z rows,
-    ``centred`` the weight-scaled centred rows ``w_i (s_i - centroid)``
-    with their row sums and Frobenius norm, ``averaging`` the gemv vector
-    ``w / sum(w)`` that yields a weighted centroid, and ``weighted``
-    whether per-point weights were given.
+    ``centred`` the centred rows ``s_i - centroid`` with their row sums and
+    Frobenius norm, and ``averaging`` the uniform gemv vector ``1 / n``
+    that yields a centroid.
     """
 
     rows: np.ndarray
@@ -65,7 +63,6 @@ class _PreparedSource:
     centred_sum: np.ndarray
     centred_norm: float
     averaging: np.ndarray
-    weighted: bool
 
 
 def _as_point_set(points, name: str) -> np.ndarray:
@@ -82,31 +79,15 @@ def _require_finite(pts: np.ndarray, name: str) -> None:
         raise NonFiniteInputError(f"{name} contains non-finite coordinates")
 
 
-def _prepare_source(source, weights=None) -> _PreparedSource:
-    """Reduce ``source`` (and optional per-point ``weights``) for
-    ``_register_prepared``. Raises as ``register_weighted`` does for a bad
-    source or bad weights."""
+def _prepare_source(source) -> _PreparedSource:
+    """Reduce ``source`` for ``_register_prepared``. Raises as ``register``
+    does for a bad source."""
     src = _as_point_set(source, "source")
     _require_finite(src, "source")
-    n = src.shape[0]
-    if weights is None:
-        w = None
-        averaging = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise ShapeMismatchError(f"weights must have shape ({n},), got {w.shape}")
-        if np.any(w < 0.0):
-            raise ValueError("weights must be non-negative")
-        w_sum = float(w.sum())
-        if w_sum <= 0.0:
-            raise NonPositiveWeightSumError("weights must sum to a positive value")
-        averaging = w / w_sum
+    averaging = np.full(src.shape[0], 1.0 / src.shape[0])
     centroid = averaging @ src
     rows = np.ascontiguousarray(src.T)
     centred = rows - centroid[:, None]
-    if w is not None:
-        centred *= w
     return _PreparedSource(
         rows=rows,
         centroid=centroid,
@@ -114,7 +95,6 @@ def _prepare_source(source, weights=None) -> _PreparedSource:
         centred_sum=centred.sum(axis=1),
         centred_norm=float(np.sqrt(np.vdot(centred, centred))),
         averaging=averaging,
-        weighted=w is not None,
     )
 
 
@@ -171,10 +151,7 @@ def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
 
     residuals = _source_frame_rows(tgt, pose)
     residuals -= prepared.rows
-    if prepared.weighted:
-        mean_sq = float(np.vdot(residuals * prepared.averaging, residuals))
-    else:
-        mean_sq = float(np.vdot(residuals, residuals)) / n
+    mean_sq = float(np.vdot(residuals, residuals)) / n
     return RegistrationResult(pose, float(np.sqrt(mean_sq)), condition)
 
 
@@ -195,12 +172,3 @@ def register(target, source) -> RegistrationResult:
     if not isinstance(source, _PreparedSource):
         source = _prepare_source(source)
     return _register_prepared(target, source)
-
-
-def register_weighted(target, source, weights) -> RegistrationResult:
-    """As ``register`` but minimizing the ``weights``-weighted squared error.
-
-    ``weights=None`` means uniform. With uniform weights the result matches
-    ``register`` to floating-point precision.
-    """
-    return _register_prepared(target, _prepare_source(source, weights))

@@ -697,6 +697,18 @@ def test_roundtrip_huge_sigma_names_the_perturbation(tmp_path, capsys, magnitude
     assert "gaussian perturbation" in err and cause in err
 
 
+@pytest.mark.filterwarnings("error")
+def test_roundtrip_overflowing_trajectory_does_not_blame_the_perturbation(tmp_path, capsys):
+    # the clean grids overflow registration, whatever the noise
+    traj = tmp_path / "t.traj"
+    run("synth", "orbit", 5, traj, "--width", 64, "--height", 48, "--radius", "1e300")
+    capsys.readouterr()
+    assert run("roundtrip", traj) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: frame 1 failed to decode: the trajectory's coordinates")
+    assert "perturbation" not in err and "overflows" in err
+
+
 @pytest.mark.parametrize("noise, magnitude, frame, code", [
     ("gaussian", "1e200", 11, 2),
     ("dropout", "0.99", 10, 4),
@@ -786,6 +798,7 @@ _SMALL_BENCH = ("bench", "--out", "{out}", "--kinds", "orbit", "--magnitudes", 0
     (*_SMALL_BENCH, "--radius", "nan"),
     ("synth", "orbit", 5, "{out}", "--radius", "inf"),
     (*_SMALL_BENCH, "--radius", "inf"),
+    (*_SMALL_BENCH, "--seeds", -3),
 ], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}")
 def test_hostile_arguments_exit_with_a_documented_code(tmp_path, capsys, argv):
     # every failure leaves main through its exit-code table, never as a traceback
@@ -824,14 +837,22 @@ def test_non_finite_radius_is_refused_before_the_path_is_built(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["synth", "bench"])
+@pytest.mark.parametrize("command", ["synth", "bench", "decode"])
 @pytest.mark.parametrize("flag, value, size", [
     ("--width", -4, "-4x48"), ("--width", 0, "0x48"), ("--height", -4, "64x-4"),
 ])
 def test_non_positive_image_size_is_named(tmp_path, capsys, command, flag, value, size):
-    out = tmp_path / "out"
-    argv = ("synth", "orbit", 5, out, "--width", 64, "--height", 48) \
-        if command == "synth" else _SMALL_BENCH
+    out, traj, grids = tmp_path / "out", tmp_path / "t.traj", tmp_path / "g"
+    argv = {
+        "synth": ("synth", "orbit", 5, out, "--width", 64, "--height", 48),
+        "bench": _SMALL_BENCH,
+        # a 64x48 encode: the size not given is read from the grid
+        "decode": ("decode", grids, out),
+    }[command]
+    if command == "decode":
+        run("synth", "orbit", 5, traj, "--width", 64, "--height", 48)
+        run("encode", traj, grids)
+        capsys.readouterr()
     assert run(*[str(a).format(out=out) for a in argv], flag, value) == 2
     assert capsys.readouterr().err == f"error: image size {size} is not positive\n"
     assert not out.exists()

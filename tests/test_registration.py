@@ -4,11 +4,10 @@ import pytest
 from raxelkit.errors import (
     DegenerateGeometryError,
     NonFiniteInputError,
-    NonPositiveWeightSumError,
     ShapeMismatchError,
 )
 from raxelkit.geometry import Pose, compose, geodesic_rotation_distance, random_pose
-from raxelkit.registration import register, register_weighted
+from raxelkit.registration import register
 
 
 def objective(pose, target, source):
@@ -69,36 +68,6 @@ class TestRegister:
         source, target, _ = transformed_cloud(12, 50)
         with pytest.raises(NonFiniteInputError, match="overflows"):
             register(target * scale, source)
-
-
-class TestRegisterWeighted:
-    def test_uniform_weights_match_register(self):
-        source, target, _ = transformed_cloud(seed=3, n=50, noise=0.05)
-        plain = register(target, source)
-        weighted = register_weighted(target, source, np.full(50, 0.7))
-        assert np.abs(plain.pose.rotation - weighted.pose.rotation).max() < 1e-12
-        assert np.abs(plain.pose.translation - weighted.pose.translation).max() < 1e-12
-        assert plain.rms_residual == pytest.approx(weighted.rms_residual, abs=1e-12)
-
-    def test_zero_weight_removes_outlier(self):
-        source, target, truth = transformed_cloud(seed=4, n=100)
-        target = target.copy()
-        target[17] += np.array([50.0, -30.0, 10.0])
-        weights = np.ones(100)
-        weights[17] = 0.0
-        result = register_weighted(target, source, weights)
-        assert geodesic_rotation_distance(result.pose, truth) < 1e-10
-        assert np.linalg.norm(result.pose.translation - truth.translation) < 1e-10
-
-    def test_all_zero_weights(self):
-        pts = np.random.default_rng(5).normal(size=(10, 3))
-        with pytest.raises(NonPositiveWeightSumError):
-            register_weighted(pts, pts, np.zeros(10))
-
-    def test_negative_weights_rejected(self):
-        pts = np.random.default_rng(6).normal(size=(10, 3))
-        with pytest.raises(ValueError):
-            register_weighted(pts, pts, np.full(10, -1.0))
 
 
 class TestProperties:
