@@ -19,11 +19,23 @@ offset vectors are added to the token features on entry to the block.
 
 All parameters are plain numpy arrays; there is no training code. The
 seeded initializer exists so tests and demos are reproducible.
+
+Sequences and parameter sets hold read-only arrays: a writeable input
+(or a read-only view of writeable memory) is copied once and the copy is
+frozen. That makes a stream's stage 1 (offset add plus self-attention) a
+function of the two objects alone, so ``dsca_block`` computes it once per
+(sequence, parameter set) pair and reuses it while the caller passes the
+same two objects again, as a sampler does for the stream it holds fixed.
+The reused state is kept on the sequence, with the parameter set held
+weakly, so it lives exactly as long as the sequence it came from; a new
+weight set (``dataclasses.replace`` included) is a new object and gets
+its stage 1 computed afresh.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -40,9 +52,40 @@ class Modality(enum.Enum):
     RAY = "ray"
 
 
+def _freeze(fresh: np.ndarray) -> np.ndarray:
+    """Mark an array that nothing else holds read-only; returns it."""
+    fresh.flags.writeable = False
+    return fresh
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when neither it nor any array it views can be
+    written, otherwise a frozen copy."""
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return arr if base is None else _freeze(arr.copy())
+
+
+def _check_finite(tokens: np.ndarray) -> None:
+    if not np.all(np.isfinite(tokens)):
+        raise ValueError("tokens contain non-finite values")
+
+
+class _PickledAsConstructorCall:
+    """Unpickles through the constructor: numpy arrays come back writeable,
+    so they must be frozen again, and a sequence's kept stage 1 holds a weak
+    reference, which cannot be pickled and is not carried over."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class TokenSeq:
-    """Token features with integer (temporal, row, column) positions."""
+class TokenSeq(_PickledAsConstructorCall):
+    """Token features with integer (temporal, row, column) positions.
+
+    Both arrays are stored read-only; writeable inputs are copied."""
 
     tokens: np.ndarray
     positions: np.ndarray
@@ -53,18 +96,20 @@ class TokenSeq:
         pos = np.asarray(self.positions)
         if tok.ndim != 2 or tok.shape[0] < 1:
             raise ValueError(f"tokens must be (n, d_model) with n >= 1, got {tok.shape}")
-        if not np.all(np.isfinite(tok)):
-            raise ValueError("tokens contain non-finite values")
+        _check_finite(tok)
         if pos.shape != (tok.shape[0], POSITION_AXES):
             raise ValueError(
                 f"positions must be (n, {POSITION_AXES}), got {pos.shape} for n={tok.shape[0]}"
             )
         if not np.issubdtype(pos.dtype, np.integer):
             raise ValueError(f"positions must be integers, got dtype {pos.dtype}")
+        if pos.dtype.kind == "u" and pos.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"position {pos.max()} does not fit a signed 64-bit integer")
         if len({tuple(row) for row in pos.tolist()}) != pos.shape[0]:
             raise ValueError("positions must be unique within a sequence")
-        object.__setattr__(self, "tokens", tok)
-        object.__setattr__(self, "positions", pos.astype(np.int64))
+        object.__setattr__(self, "tokens", _read_only(tok))
+        object.__setattr__(self, "positions", _read_only(pos.astype(np.int64, copy=False)))
+        object.__setattr__(self, "_kept_stage1", None)
 
     @property
     def count(self) -> int:
@@ -75,9 +120,27 @@ class TokenSeq:
         return self.tokens.shape[1]
 
 
+def _with_tokens(source: TokenSeq, tokens: np.ndarray) -> TokenSeq:
+    """A sequence of freshly computed ``tokens`` at ``source``'s positions.
+
+    The positions are already validated and read-only, so they are shared
+    and only the new tokens' finiteness is checked; nothing else holds the
+    tokens, so they are frozen in place rather than copied.
+    """
+    _check_finite(tokens)
+    seq = object.__new__(TokenSeq)
+    object.__setattr__(seq, "tokens", _freeze(tokens))
+    object.__setattr__(seq, "positions", source.positions)
+    object.__setattr__(seq, "modality", source.modality)
+    object.__setattr__(seq, "_kept_stage1", None)
+    return seq
+
+
 @dataclass(frozen=True, eq=False)
-class BranchParams:
-    """Weights of one modality branch. All linear maps are bias-free."""
+class BranchParams(_PickledAsConstructorCall):
+    """Weights of one modality branch. All linear maps are bias-free.
+
+    Every array is stored read-only; writeable inputs are copied."""
 
     self_query: np.ndarray
     self_key: np.ndarray
@@ -93,9 +156,13 @@ class BranchParams:
     gain_cross: np.ndarray
     gain_ff: np.ndarray
 
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, _read_only(np.asarray(getattr(self, f.name))))
+
 
 @dataclass(frozen=True, eq=False)
-class DscaBlockParams:
+class DscaBlockParams(_PickledAsConstructorCall):
     """Both branches, the per-modality offsets, and the head count."""
 
     video: BranchParams
@@ -105,6 +172,8 @@ class DscaBlockParams:
     head_count: int
 
     def __post_init__(self):
+        for name in ("offset_video", "offset_ray"):
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name))))
         d = self.offset_video.shape[0]
         if self.offset_ray.shape != (d,):
             raise ShapeMismatchError(
@@ -146,14 +215,15 @@ class DscaBlockParams:
 
 def init_dsca_params(rng_seed: int, d_model: int, head_count: int, d_ff: int | None = None) -> DscaBlockParams:
     """Deterministic parameter set: matrices uniform in +-1/sqrt(fan_in),
-    gains one, offsets uniform like a d_model fan-in matrix row."""
+    gains one, offsets uniform like a d_model fan-in matrix row. The arrays
+    are created read-only, so the parameter classes keep them uncopied."""
     if d_ff is None:
         d_ff = 4 * d_model
     rng = np.random.default_rng(rng_seed)
 
     def mat(n_in, n_out):
         bound = 1.0 / np.sqrt(n_in)
-        return rng.uniform(-bound, bound, (n_in, n_out))
+        return _freeze(rng.uniform(-bound, bound, (n_in, n_out)))
 
     def branch():
         return BranchParams(
@@ -167,9 +237,9 @@ def init_dsca_params(rng_seed: int, d_model: int, head_count: int, d_ff: int | N
             cross_output=mat(d_model, d_model),
             ff_in=mat(d_model, d_ff),
             ff_out=mat(d_ff, d_model),
-            gain_self=np.ones(d_model),
-            gain_cross=np.ones(d_model),
-            gain_ff=np.ones(d_model),
+            gain_self=_freeze(np.ones(d_model)),
+            gain_cross=_freeze(np.ones(d_model)),
+            gain_ff=_freeze(np.ones(d_model)),
         )
 
     video = branch()
@@ -178,8 +248,8 @@ def init_dsca_params(rng_seed: int, d_model: int, head_count: int, d_ff: int | N
     return DscaBlockParams(
         video=video,
         ray=ray,
-        offset_video=rng.uniform(-bound, bound, d_model),
-        offset_ray=rng.uniform(-bound, bound, d_model),
+        offset_video=_freeze(rng.uniform(-bound, bound, d_model)),
+        offset_ray=_freeze(rng.uniform(-bound, bound, d_model)),
         head_count=head_count,
     )
 
@@ -232,8 +302,13 @@ def rope_rotate(vec: np.ndarray, position) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=1, keepdims=True)
-    var = x.var(axis=1, keepdims=True)
+    # a row spread past ~1e154 squares out of float64: refuse it rather than
+    # divide by an infinite variance and return zeros
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=1, keepdims=True)
+        var = x.var(axis=1, keepdims=True)
+    if not np.all(np.isfinite(var)):
+        raise ValueError("tokens too large to layer-normalize: their variance overflows float64")
     return (x - mean) / np.sqrt(var + LAYERNORM_EPS) * gain
 
 
@@ -302,7 +377,7 @@ def self_attention(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:
         branch.self_query, branch.self_key, branch.self_value, branch.self_output,
         params.head_count,
     )
-    return TokenSeq(seq.tokens + out, seq.positions, seq.modality)
+    return _with_tokens(seq, seq.tokens + out)
 
 
 def cross_attention(
@@ -331,7 +406,7 @@ def cross_attention(
         branch.cross_query, branch.cross_key, branch.cross_value, branch.cross_output,
         params.head_count,
     )
-    return TokenSeq(queries_from.tokens + out, queries_from.positions, queries_from.modality)
+    return _with_tokens(queries_from, queries_from.tokens + out)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -352,7 +427,24 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 def _feed_forward(seq: TokenSeq, branch: BranchParams) -> TokenSeq:
     h = _layer_norm(seq.tokens, branch.gain_ff)
     out = _gelu(h @ branch.ff_in) @ branch.ff_out
-    return TokenSeq(seq.tokens + out, seq.positions, seq.modality)
+    return _with_tokens(seq, seq.tokens + out)
+
+
+def _stage1(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:
+    """Stage 1 of the block for one stream: offset add, then self-attention.
+
+    It reads only ``seq`` and ``params``, whose arrays are read-only, so
+    the result is kept on ``seq`` and served again for the same params
+    object. The params are held by weak reference: a dead one never
+    matches, even if a new object takes its id.
+    """
+    kept = seq._kept_stage1
+    if kept is not None and kept[0]() is params:
+        return kept[1]
+    shifted = _with_tokens(seq, seq.tokens + params.offset_for(seq.modality))
+    out = self_attention(shifted, params)
+    object.__setattr__(seq, "_kept_stage1", (weakref.ref(params), out))
+    return out
 
 
 def dsca_block(
@@ -363,14 +455,14 @@ def dsca_block(
     Adds the per-modality offsets, runs self-attention within each stream,
     then both cross directions in parallel from the stage-1 state, then the
     per-branch feed-forward. Returns (video_out, ray_out).
+
+    A stream passed again with the same params object (a held stream
+    across sampler steps) reuses its stage 1 from the earlier call.
     """
     if video.modality is not Modality.VIDEO or ray.modality is not Modality.RAY:
         raise ValueError("dsca_block expects (video, ray) sequences in that order")
-    video = TokenSeq(video.tokens + params.offset_for(Modality.VIDEO), video.positions, video.modality)
-    ray = TokenSeq(ray.tokens + params.offset_for(Modality.RAY), ray.positions, ray.modality)
-
-    video_1 = self_attention(video, params)
-    ray_1 = self_attention(ray, params)
+    video_1 = _stage1(video, params)
+    ray_1 = _stage1(ray, params)
 
     video_2 = cross_attention(video_1, ray_1, params)
     ray_2 = cross_attention(ray_1, video_1, params)

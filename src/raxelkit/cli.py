@@ -323,6 +323,8 @@ def cmd_bench(args) -> None:
     # --seeds 0 computes no cell: it checks and rewrites a finished file
     if args.seeds < 0:
         raise ValueError(f"seed count {args.seeds} is negative")
+    if args.seeds == 0 and not os.path.exists(args.out):
+        raise ValueError(f"--seeds 0 computes no cell and {args.out} does not exist yet")
     settings = (args.noise_kind, str(args.width), str(args.height),
                 rkio._fmt(args.fov), rkio._fmt(args.radius))
     rows = _existing_rows(args.out)

@@ -1,7 +1,10 @@
 """Tests for the two-branch attention block against dense-loop oracles."""
 
 import dataclasses
+import gc
+import pickle
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -16,9 +19,11 @@ from raxelkit.attention import (
     rope_rotate,
     self_attention,
 )
+from raxelkit import attention
 from raxelkit.attention import _softmax_rows
-from raxelkit.attention import _attend, _gelu, _rope_apply
+from raxelkit.attention import _attend, _gelu, _layer_norm, _rope_apply
 from raxelkit.errors import ShapeMismatchError
+from raxelkit.flow import FreezeMask, euler_sample
 
 D_MODEL = 24
 HEADS = 2
@@ -370,6 +375,31 @@ class TestValidation:
         with pytest.raises(ValueError):
             TokenSeq(np.zeros((1, 12)), np.array([[0.5, 0.0, 0.0]]), Modality.VIDEO)
 
+    def test_unsigned_positions_past_int64_rejected(self):
+        # casting would wrap 2**63 to -2**63
+        far = np.array([[2**63, 0, 0], [0, 0, 0]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="signed 64-bit"):
+            TokenSeq(np.zeros((2, 12)), far, Modality.VIDEO)
+        near = np.array([[2**63 - 1, 0, 0], [0, 0, 0]], dtype=np.uint64)
+        seq = TokenSeq(np.zeros((2, 12)), near, Modality.VIDEO)
+        assert seq.positions[0, 0] == 2**63 - 1
+
+    def test_layer_norm_refuses_an_overflowing_variance(self):
+        row = np.zeros((1, D_MODEL))
+        row[0, :2] = 1e200, -1e200
+        with pytest.raises(ValueError, match="too large to layer-normalize"):
+            _layer_norm(row, np.ones(D_MODEL))
+        seq = TokenSeq(row, [[0, 0, 0]], Modality.VIDEO)
+        with pytest.raises(ValueError, match="too large to layer-normalize"):
+            dsca_block(seq, make_seq(41, 3, Modality.RAY), make_params(41))
+
+    def test_layer_norm_keeps_the_formula_bits(self):
+        rng = np.random.default_rng(42)
+        x = rng.normal(size=(64, D_MODEL)) * np.logspace(-150, 150, 64)[:, None]
+        gain = rng.uniform(0.5, 2.0, D_MODEL)
+        mean, var = x.mean(axis=1, keepdims=True), x.var(axis=1, keepdims=True)
+        assert np.array_equal(_layer_norm(x, gain), (x - mean) / np.sqrt(var + LN_EPS) * gain)
+
 
 # ------------------------------------------------- in-place kernels vs. formulas
 
@@ -510,3 +540,135 @@ class TestInPlaceKernels:
         v_want, r_want = formula_block(video, ray, params)
         assert np.max(np.abs(v_out.tokens - v_want)) <= 1e-12
         assert np.max(np.abs(r_out.tokens - r_want)) <= 1e-12
+
+
+# ------------------------------------------------- stage 1 of a held stream
+
+def count_self_attention(monkeypatch):
+    calls = []
+    real = attention.self_attention
+
+    def counting(seq, params):
+        calls.append(seq.modality)
+        return real(seq, params)
+
+    monkeypatch.setattr(attention, "self_attention", counting)
+    return calls
+
+
+class TestHeldStreamReuse:
+    def test_euler_run_matches_a_fresh_video_every_step(self, monkeypatch):
+        params = init_dsca_params(3, GEN_D_MODEL, GEN_HEADS)
+        positions = generate_positions()
+        rng = np.random.default_rng(60)
+        video_tokens = rng.normal(size=(len(positions), GEN_D_MODEL))
+        held = TokenSeq(video_tokens, positions, Modality.VIDEO)
+        x_init = rng.normal(size=len(positions) * GEN_D_MODEL)
+        width = GEN_PATCHES * GEN_PATCHES * GEN_D_MODEL
+        spans = [(k * width, (k + 1) * width) for k in range(GEN_SLOTS)]
+        mask = FreezeMask((True,) + (False,) * (GEN_SLOTS - 1))
+
+        def sample(video_for_step):
+            def velocity(x, t):
+                ray = TokenSeq(x.reshape(-1, GEN_D_MODEL), positions, Modality.RAY)
+                _, ray_out = dsca_block(video_for_step(), ray, params)
+                return (ray_out.tokens - ray.tokens).ravel()
+            return euler_sample(x_init, velocity, 8, mask, spans)
+
+        calls = count_self_attention(monkeypatch)
+        fresh = sample(lambda: TokenSeq(video_tokens, positions, Modality.VIDEO))
+        assert calls.count(Modality.VIDEO) == 8
+        calls.clear()
+        reused = sample(lambda: held)
+        assert calls.count(Modality.VIDEO) == 1 and calls.count(Modality.RAY) == 8
+        assert np.array_equal(reused, fresh)
+
+    def test_held_ray_stream_reuses_its_stage1(self, monkeypatch):
+        params = make_params(61)
+        ray = make_seq(62, 5, Modality.RAY)
+        calls = count_self_attention(monkeypatch)
+        for seed in (63, 64, 65):
+            video = make_seq(seed, 4, Modality.VIDEO)
+            _, r_out = dsca_block(video, ray, params)
+            fresh_ray = TokenSeq(ray.tokens, ray.positions, Modality.RAY)
+            _, r_fresh = dsca_block(video, fresh_ray, params)
+            assert np.array_equal(r_out.tokens, r_fresh.tokens)
+        # held: once; each fresh copy: once per block
+        assert calls.count(Modality.RAY) == 1 + 3
+
+    def test_caller_arrays_are_copied_and_stored_read_only(self):
+        params = make_params(66)
+        ray = make_seq(67, 4, Modality.RAY)
+        tokens = np.random.default_rng(68).normal(size=(4, D_MODEL))
+        positions = np.array([[0, 0, 0], [0, 0, 1], [0, 1, 0], [1, 0, 0]])
+        seq = TokenSeq(tokens, positions, Modality.VIDEO)
+        before, _ = dsca_block(seq, ray, params)
+        expected, _ = dsca_block(TokenSeq(tokens.copy(), positions.copy(), Modality.VIDEO),
+                                 ray, params)
+        tokens += 1.0
+        positions[:] = positions[::-1]
+        after, _ = dsca_block(seq, ray, params)
+        assert np.array_equal(after.tokens, before.tokens)
+        assert np.array_equal(after.tokens, expected.tokens)
+        with pytest.raises(ValueError, match="read-only"):
+            seq.tokens[0, 0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            seq.positions[0, 0] = 5
+        # a read-only view does not protect the memory beneath it
+        view = tokens.view()
+        view.flags.writeable = False
+        viewed, snapshot = TokenSeq(view, positions, Modality.VIDEO), tokens.copy()
+        tokens += 1.0
+        assert np.array_equal(viewed.tokens, snapshot)
+        # weights: kept when frozen, copied when the caller could still write them
+        assert not params.video.self_query.flags.writeable
+        weight = np.array(params.video.self_value)
+        replaced = dataclasses.replace(params.video, self_value=weight)
+        assert replaced.self_query is params.video.self_query
+        weight[:] = 0.0
+        assert np.array_equal(replaced.self_value, params.video.self_value)
+
+    def test_replaced_weights_give_fresh_results(self):
+        params = make_params(69)
+        video = make_seq(70, 4, Modality.VIDEO)
+        ray = make_seq(71, 4, Modality.RAY)
+        old, _ = dsca_block(video, ray, params)
+        for changed in (
+            dataclasses.replace(params, video=dataclasses.replace(
+                params.video, self_value=np.zeros_like(params.video.self_value))),
+            dataclasses.replace(params, offset_video=np.zeros(D_MODEL)),
+        ):
+            new, _ = dsca_block(video, ray, changed)
+            want, _ = dsca_block(TokenSeq(video.tokens, video.positions, Modality.VIDEO),
+                                 ray, changed)
+            assert np.array_equal(new.tokens, want.tokens)
+            assert not np.array_equal(new.tokens, old.tokens)
+
+    def test_reused_state_lives_no_longer_than_its_sequence(self):
+        params = make_params(72)
+        video = make_seq(73, 4, Modality.VIDEO)
+        dsca_block(video, make_seq(74, 4, Modality.RAY), params)
+        stage1 = weakref.ref(video._kept_stage1[1])
+        # the sequence holds its params weakly
+        dropped = dataclasses.replace(params)
+        dsca_block(video, make_seq(75, 4, Modality.RAY), dropped)
+        dropped_ref = weakref.ref(dropped)
+        del dropped
+        gc.collect()
+        assert dropped_ref() is None
+        del video
+        gc.collect()
+        assert stage1() is None
+
+    def test_pickle_round_trip_keeps_arrays_read_only(self):
+        params = make_params(76)
+        video = make_seq(77, 4, Modality.VIDEO)
+        ray = make_seq(78, 4, Modality.RAY)
+        out, _ = dsca_block(video, ray, params)
+        video_back, params_back = pickle.loads(pickle.dumps((video, params)))
+        assert video_back._kept_stage1 is None
+        assert not video_back.tokens.flags.writeable
+        assert not params_back.offset_ray.flags.writeable
+        assert not params_back.ray.ff_in.flags.writeable
+        again, _ = dsca_block(video_back, ray, params_back)
+        assert np.array_equal(again.tokens, out.tokens)

@@ -636,6 +636,20 @@ def test_bench_fills_only_missing_cells(tmp_path):
     assert removed in refilled
 
 
+def test_bench_zero_seeds_rewrites_only_an_existing_file(tmp_path, capsys):
+    csv = tmp_path / "b.csv"
+    zero = ("bench", "--out", csv, *BENCH_ARGS, "--seeds", 0)
+    assert run(*zero) == 2
+    assert capsys.readouterr().err == (
+        f"error: --seeds 0 computes no cell and {csv} does not exist yet\n"
+    )
+    assert not csv.exists()
+    run("bench", "--out", csv, *BENCH_ARGS)
+    first = _read(csv)
+    assert run(*zero) == 0
+    assert _read(csv) == first
+
+
 def test_bench_cell_matches_roundtrip(tmp_path, capsys):
     csv = tmp_path / "b.csv"
     run(
@@ -799,6 +813,7 @@ _SMALL_BENCH = ("bench", "--out", "{out}", "--kinds", "orbit", "--magnitudes", 0
     ("synth", "orbit", 5, "{out}", "--radius", "inf"),
     (*_SMALL_BENCH, "--radius", "inf"),
     (*_SMALL_BENCH, "--seeds", -3),
+    (*_SMALL_BENCH, "--seeds", 0),
 ], ids=lambda argv: f"{argv[0]} {argv[-2]} {argv[-1]}")
 def test_hostile_arguments_exit_with_a_documented_code(tmp_path, capsys, argv):
     # every failure leaves main through its exit-code table, never as a traceback
