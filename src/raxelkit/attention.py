@@ -105,7 +105,10 @@ class TokenSeq(_PickledAsConstructorCall):
             raise ValueError(f"positions must be integers, got dtype {pos.dtype}")
         if pos.dtype.kind == "u" and pos.max() > np.iinfo(np.int64).max:
             raise ValueError(f"position {pos.max()} does not fit a signed 64-bit integer")
-        if len({tuple(row) for row in pos.tolist()}) != pos.shape[0]:
+        # in lexicographic order a repeated position is a row equal to the
+        # one before it in every axis
+        ordered = pos[np.lexsort(pos.T)]
+        if not (ordered[1:] != ordered[:-1]).any(axis=1).all():
             raise ValueError("positions must be unique within a sequence")
         object.__setattr__(self, "tokens", _read_only(tok))
         object.__setattr__(self, "positions", _read_only(pos.astype(np.int64, copy=False)))
@@ -264,13 +267,9 @@ def _rope_angles(length: int, positions: np.ndarray) -> np.ndarray:
     return (positions[:, :, None] * theta[None, None, :]).reshape(positions.shape[0], -1)
 
 
-def _rope_apply(mat: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Rotate consecutive feature pairs of each row by its position angles.
-
-    mat is (..., n, length) with one position row per token; the cos/sin
-    table is built once and broadcast over the leading (head) axes.
-    """
-    length = mat.shape[-1]
+def _rope_table(length: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cos and sin of every feature pair's angle, each (n, length/2),
+    for rows of ``length`` features at ``positions``."""
     axes = positions.shape[1]
     if length % (2 * axes) != 0:
         raise ShapeMismatchError(
@@ -278,12 +277,26 @@ def _rope_apply(mat: np.ndarray, positions: np.ndarray) -> np.ndarray:
             f"(2 x {axes} position axes)"
         )
     angles = _rope_angles(length, positions)
-    cos, sin = np.cos(angles), np.sin(angles)
+    return np.cos(angles), np.sin(angles)
+
+
+def _rotate_pairs(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate consecutive feature pairs of ``mat`` (..., n, length) by a
+    ``_rope_table``, broadcast over the leading (head) axes."""
     even, odd = mat[..., 0::2], mat[..., 1::2]
     out = np.empty_like(mat)
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
+
+
+def _rope_apply(mat: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Rotate consecutive feature pairs of each row by its position angles.
+
+    mat is (..., n, length) with one position row per token; the cos/sin
+    table is built once and broadcast over the leading (head) axes.
+    """
+    return _rotate_pairs(mat, *_rope_table(mat.shape[-1], positions))
 
 
 def rope_rotate(vec: np.ndarray, position) -> np.ndarray:
@@ -348,15 +361,18 @@ def _attend(
     """Multi-head attention core shared by the self and cross paths.
 
     Inputs are already normalized; rotary encoding is applied to the
-    queries and keys of all heads at once. Returns the output projection
-    (no residual).
+    queries and keys of all heads at once, from one cos/sin table when both
+    sides pass the same positions array, as self-attention does. Returns
+    the output projection (no residual).
     """
     head_dim = q_tokens.shape[1] // head_count
     q = _split_heads(q_tokens @ w_query, head_count)
     k = _split_heads(kv_tokens @ w_key, head_count)
     v = _split_heads(kv_tokens @ w_value, head_count)
-    q = _rope_apply(q, q_positions)
-    k = _rope_apply(k, kv_positions)
+    q_table = _rope_table(head_dim, q_positions)
+    k_table = q_table if kv_positions is q_positions else _rope_table(head_dim, kv_positions)
+    q = _rotate_pairs(q, *q_table)
+    k = _rotate_pairs(k, *k_table)
     scores = q @ k.transpose(0, 2, 1)
     scores /= np.sqrt(head_dim)
     attn = _softmax_rows_inplace(scores)

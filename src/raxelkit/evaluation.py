@@ -34,7 +34,7 @@ from .geometry import (
     canonicalize,
     rotation_angle,
 )
-from .rays import GridKind, RayGrid, _encode, _frozen_grid, encode_raxel, ray_grid
+from .rays import GridKind, RayGrid, TrajectoryRaxels, _encode, _frozen_grid, ray_grid
 
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -243,29 +243,28 @@ def perturb(image: RayGrid, spec: PerturbationSpec) -> RayGrid:
 
 class _DamagedFrames:
     """The damaged raxel grids of a canonical trajectory as a sized sequence:
-    element k is frame k encoded and perturbed with its own seed when it is
-    read, so no grid outlives its reader's use of it."""
+    element k is frame k's clean grid, read from a ``TrajectoryRaxels`` of
+    the frames, perturbed with its own seed, so no grid outlives its
+    reader's use of it."""
 
     def __init__(self, canonical: Trajectory, spec: PerturbationSpec):
-        self._frames = canonical.frames
-        self._seeds = np.random.SeedSequence(spec.seed).generate_state(len(self._frames))
+        self._clean = TrajectoryRaxels(canonical.frames)
+        self._seeds = np.random.SeedSequence(spec.seed).generate_state(len(self._clean))
         self._spec = spec
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._clean)
 
     def __getitem__(self, k: int) -> RayGrid:
-        frame = self._frames[k]
-        clean = encode_raxel(frame, frame.pose)
-        return perturb(clean, replace(self._spec, seed=int(self._seeds[k])))
+        return perturb(self._clean[k], replace(self._spec, seed=int(self._seeds[k])))
 
 
 def _clean_frame_overflows(canonical: Trajectory, pos: int) -> bool:
     """Whether frame ``pos``'s clean grid is too large to register against
     the clean reference grid."""
-    ref, frame = canonical.frames[canonical.reference_index], canonical.frames[pos]
+    clean = TrajectoryRaxels(canonical.frames)
     try:
-        recover_pose(encode_raxel(frame, frame.pose), encode_raxel(ref, ref.pose))
+        recover_pose(clean[pos], clean[canonical.reference_index])
     except NonFiniteInputError:
         return True
     except DegenerateGeometryError:

@@ -12,6 +12,10 @@ rays ``d_cam`` of ``ray_grid`` (which caches one grid). Each is a
 * raymap       -- 6 channels: ``[T, R @ d_cam]`` with the origin repeated
   at every pixel.
 
+``encode_trajectory_raxels`` returns a trajectory's raxel images as a
+``TrajectoryRaxels`` sequence, which encodes frame k each time element k
+is read, so a reader that takes one frame at a time holds one grid.
+
 The ray grid lives at half the frame resolution: raxel pixel (i, j)
 corresponds to the full-resolution continuous coordinate (u, v) =
 (2j + 1, 2i + 1), the center of each 2x2 block of full-resolution pixels.
@@ -21,6 +25,8 @@ Odd dimensions are floored; the final row/column goes unrepresented.
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -148,7 +154,25 @@ def encode_raymap(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     return _frozen_grid(_encode(ray_grid(frame.intrinsics), pose_rel, kind), kind)
 
 
-def encode_trajectory_raxels(trajectory: Trajectory) -> list[RayGrid]:
-    """Canonicalize to the trajectory's reference index and encode every frame."""
+class TrajectoryRaxels(Sequence):
+    """The raxel images of canonical frames as a read-only sized sequence:
+    element k is frame k encoded at its own pose when it is read, so no
+    grid outlives its reader's use of it. Each read encodes again, and
+    ``list(...)`` holds every grid."""
+
+    def __init__(self, frames: Sequence[CameraFrame]):
+        self._frames = tuple(frames)
+
+    def __len__(self) -> int:
+        return len(self._frames)
+
+    def __getitem__(self, k: int) -> RayGrid:
+        frame = self._frames[operator.index(k)]
+        return encode_raxel(frame, frame.pose)
+
+
+def encode_trajectory_raxels(trajectory: Trajectory) -> TrajectoryRaxels:
+    """Canonicalize to the trajectory's reference index, now, and return
+    the frames' raxel images, each encoded when it is read."""
     canonical = canonicalize(trajectory, trajectory.reference_index)
-    return [encode_raxel(f, f.pose) for f in canonical.frames]
+    return TrajectoryRaxels(canonical.frames)

@@ -371,6 +371,18 @@ class TestValidation:
         with pytest.raises(ValueError):
             TokenSeq(np.zeros((2, 12)), [[0, 0, 0], [0, 0, 0]], Modality.VIDEO)
 
+    @pytest.mark.parametrize("axis", range(3))
+    def test_positions_differing_in_one_axis_only_are_unique(self, axis):
+        pos = np.array([[4, -2, 7], [4, -2, 7]])
+        pos[1, axis] += 1
+        assert TokenSeq(np.zeros((2, 12)), pos, Modality.VIDEO).count == 2
+
+    def test_one_duplicate_pair_among_unique_positions_rejected(self):
+        pos = generate_positions()
+        pos[200] = pos[17]
+        with pytest.raises(ValueError, match="^positions must be unique within a sequence$"):
+            TokenSeq(np.zeros((len(pos), 12)), pos, Modality.VIDEO)
+
     def test_float_positions_rejected(self):
         with pytest.raises(ValueError):
             TokenSeq(np.zeros((1, 12)), np.array([[0.5, 0.0, 0.0]]), Modality.VIDEO)
@@ -487,6 +499,19 @@ class TestInPlaceKernels:
         view = flat.reshape(positions.shape[0], GEN_HEADS, -1).transpose(1, 0, 2)
         expected = np.stack([formula_rope(view[h], positions) for h in range(GEN_HEADS)])
         assert np.array_equal(_rope_apply(view, positions), expected)
+
+    def test_self_attention_builds_one_rope_table(self, monkeypatch):
+        # queries and keys share seq.positions; cross-attention has two arrays
+        built = []
+        real = attention._rope_table
+        monkeypatch.setattr(attention, "_rope_table",
+                            lambda length, positions: built.append(positions) or real(length, positions))
+        params = make_params(60)
+        video, ray = make_seq(60, 5, Modality.VIDEO), make_seq(61, 4, Modality.RAY)
+        self_attention(video, params)
+        assert len(built) == 1 and built[0] is video.positions
+        cross_attention(video, ray, params)
+        assert len(built) == 3 and built[2] is ray.positions
 
     def test_softmax_matches_formula_and_keeps_its_input(self):
         rng = np.random.default_rng(52)

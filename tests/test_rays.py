@@ -1,8 +1,13 @@
 """Tests for the dense ray encodings (raxel, Plucker, raymap)."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from raxelkit.decode import decode_trajectory
+from raxelkit.evaluation import TrajectoryKind, generate_trajectory
 from raxelkit.geometry import (
     CameraFrame,
     Intrinsics,
@@ -20,6 +25,7 @@ from raxelkit.rays import (
     encode_plucker,
     encode_raxel,
     encode_raymap,
+    TrajectoryRaxels,
     encode_trajectory_raxels,
     grid_pixel_coordinates,
     ray_grid,
@@ -234,3 +240,61 @@ class TestTrajectoryEncoding:
                 rel = compose(canonical.frames[k].pose, inverse(canonical.frames[s].pose))
                 mapped = images[s].data @ rel.rotation.T + rel.translation
                 assert np.max(np.abs(mapped - images[k].data)) < 1e-10
+
+    def test_result_is_a_sized_sequence_encoded_on_each_read(self):
+        traj = self.make_trajectory(n=5, reference=3)
+        images = encode_trajectory_raxels(traj)
+        canonical = canonicalize(traj, 3)
+        expected = [encode_raxel(f, f.pose) for f in canonical.frames]
+        assert isinstance(images, TrajectoryRaxels) and len(images) == 5
+        assert images[-1].data.tobytes() == expected[4].data.tobytes()
+        assert images[-5].data.tobytes() == expected[0].data.tobytes()
+        for past_the_end in (5, -6):
+            with pytest.raises(IndexError):
+                images[past_the_end]
+        read = list(images)
+        assert len(read) == 5
+        for got, want in zip(read, expected):
+            assert got.kind is GridKind.RAXEL
+            assert got.data.tobytes() == want.data.tobytes()
+        assert images[2] is not images[2]
+
+    def test_decodes_like_the_list_of_its_grids(self):
+        intr = Intrinsics(fx=90.0, fy=95.0, cx=64.0, cy=48.0, width=128, height=96)
+        arc = generate_trajectory(TrajectoryKind.ARC_LEFT, 6, intr)
+        traj = dataclasses.replace(arc, reference_index=2)
+        canonical = canonicalize(traj, 2)
+        listed = [encode_raxel(f, f.pose) for f in canonical.frames]
+
+        def bits(images):
+            decoded, failures = decode_trajectory(images, 2, intr.width, intr.height)
+            assert failures == []
+            return [
+                (d.pose.rotation.tobytes(), d.pose.translation.tobytes(),
+                 d.fx_hat, d.fy_hat, d.pose_residual, d.inlier_fraction)
+                for d in decoded
+            ]
+
+        assert bits(encode_trajectory_raxels(traj)) == bits(listed)
+
+    def test_bad_reference_index_raises_at_call_time(self):
+        traj = self.make_trajectory(n=3, reference=0)
+        object.__setattr__(traj, "reference_index", 3)
+        with pytest.raises(IndexError, match="out of range"):
+            encode_trajectory_raxels(traj)
+
+    def test_iteration_holds_about_one_grid(self):
+        # a list of all 21 grids would be over 21 grid sizes
+        intr = Intrinsics(fx=180.0, fy=180.0, cx=104.0, cy=60.0, width=208, height=120)
+        traj = generate_trajectory(TrajectoryKind.ORBIT, 21, intr)
+        grid_bytes = 60 * 104 * 3 * 8
+        ray_grid(intr)  # the cached camera rays are not the sequence's grids
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            for grid in encode_trajectory_raxels(traj):
+                assert grid.data.nbytes == grid_bytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - baseline) / grid_bytes < 3
