@@ -20,16 +20,17 @@ offset vectors are added to the token features on entry to the block.
 All parameters are plain numpy arrays; there is no training code. The
 seeded initializer exists so tests and demos are reproducible.
 
-Sequences and parameter sets hold read-only arrays: a writeable input
-(or a read-only view of writeable memory) is copied once and the copy is
-frozen. That makes a stream's stage 1 (offset add plus self-attention) a
-function of the two objects alone, so ``dsca_block`` computes it once per
-(sequence, parameter set) pair and reuses it while the caller passes the
-same two objects again, as a sampler does for the stream it holds fixed.
-The reused state is kept on the sequence, with the parameter set held
-weakly, so it lives exactly as long as the sequence it came from; a new
-weight set (``dataclasses.replace`` included) is a new object and gets
-its stage 1 computed afresh.
+Sequences and parameter sets hold read-only arrays by ``geometry``'s
+array rule: a writeable input (or a read-only view of writeable memory)
+is copied once and frozen; sublayers pass their fresh tokens frozen, so
+they are kept. That makes a stream's stage 1 (offset add plus
+self-attention) a function of the two objects alone, so ``dsca_block``
+computes it once per (sequence, parameter set) pair and reuses it while
+the caller passes the same two objects again, as a sampler does for the
+stream it holds fixed. The reused state is kept on the sequence, with
+the parameter set held weakly, so it lives exactly as long as the
+sequence it came from; a new weight set (``dataclasses.replace``
+included) is a new object and gets its stage 1 computed afresh.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ShapeMismatchError
+from .geometry import _freeze, _PickledAsConstructorCall, _read_only
 
 ROPE_BASE = 10000.0
 LAYERNORM_EPS = 1e-6
@@ -50,35 +52,6 @@ POSITION_AXES = 3
 class Modality(enum.Enum):
     VIDEO = "video"
     RAY = "ray"
-
-
-def _freeze(fresh: np.ndarray) -> np.ndarray:
-    """Mark an array that nothing else holds read-only; returns it."""
-    fresh.flags.writeable = False
-    return fresh
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself when neither it nor any array it views can be
-    written, otherwise a frozen copy."""
-    base = arr
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    return arr if base is None else _freeze(arr.copy())
-
-
-def _check_finite(tokens: np.ndarray) -> None:
-    if not np.all(np.isfinite(tokens)):
-        raise ValueError("tokens contain non-finite values")
-
-
-class _PickledAsConstructorCall:
-    """Unpickles through the constructor: numpy arrays come back writeable,
-    so they must be frozen again, and a sequence's kept stage 1 holds a weak
-    reference, which cannot be pickled and is not carried over."""
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +69,8 @@ class TokenSeq(_PickledAsConstructorCall):
         pos = np.asarray(self.positions)
         if tok.ndim != 2 or tok.shape[0] < 1:
             raise ValueError(f"tokens must be (n, d_model) with n >= 1, got {tok.shape}")
-        _check_finite(tok)
+        if not np.all(np.isfinite(tok)):
+            raise ValueError("tokens contain non-finite values")
         if pos.shape != (tok.shape[0], POSITION_AXES):
             raise ValueError(
                 f"positions must be (n, {POSITION_AXES}), got {pos.shape} for n={tok.shape[0]}"
@@ -121,22 +95,6 @@ class TokenSeq(_PickledAsConstructorCall):
     @property
     def d_model(self) -> int:
         return self.tokens.shape[1]
-
-
-def _with_tokens(source: TokenSeq, tokens: np.ndarray) -> TokenSeq:
-    """A sequence of freshly computed ``tokens`` at ``source``'s positions.
-
-    The positions are already validated and read-only, so they are shared
-    and only the new tokens' finiteness is checked; nothing else holds the
-    tokens, so they are frozen in place rather than copied.
-    """
-    _check_finite(tokens)
-    seq = object.__new__(TokenSeq)
-    object.__setattr__(seq, "tokens", _freeze(tokens))
-    object.__setattr__(seq, "positions", source.positions)
-    object.__setattr__(seq, "modality", source.modality)
-    object.__setattr__(seq, "_kept_stage1", None)
-    return seq
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,16 +215,6 @@ def init_dsca_params(rng_seed: int, d_model: int, head_count: int, d_ff: int | N
     )
 
 
-def _rope_angles(length: int, positions: np.ndarray) -> np.ndarray:
-    """Rotation angle for every feature pair: positions (n, axes) -> (n, length/2)."""
-    axes = positions.shape[1]
-    pairs_per_axis = length // (2 * axes)
-    k = np.arange(pairs_per_axis)
-    theta = ROPE_BASE ** (-2.0 * k / pairs_per_axis)
-    # (n, axes, pairs_per_axis) -> (n, total_pairs)
-    return (positions[:, :, None] * theta[None, None, :]).reshape(positions.shape[0], -1)
-
-
 def _rope_table(length: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cos and sin of every feature pair's angle, each (n, length/2),
     for rows of ``length`` features at ``positions``."""
@@ -276,7 +224,11 @@ def _rope_table(length: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndar
             f"feature length {length} not divisible by {2 * axes} "
             f"(2 x {axes} position axes)"
         )
-    angles = _rope_angles(length, positions)
+    pairs_per_axis = length // (2 * axes)
+    k = np.arange(pairs_per_axis)
+    theta = ROPE_BASE ** (-2.0 * k / pairs_per_axis)
+    # (n, axes, pairs_per_axis) -> (n, total_pairs)
+    angles = (positions[:, :, None] * theta[None, None, :]).reshape(positions.shape[0], -1)
     return np.cos(angles), np.sin(angles)
 
 
@@ -288,15 +240,6 @@ def _rotate_pairs(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarr
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
-
-
-def _rope_apply(mat: np.ndarray, positions: np.ndarray) -> np.ndarray:
-    """Rotate consecutive feature pairs of each row by its position angles.
-
-    mat is (..., n, length) with one position row per token; the cos/sin
-    table is built once and broadcast over the leading (head) axes.
-    """
-    return _rotate_pairs(mat, *_rope_table(mat.shape[-1], positions))
 
 
 def rope_rotate(vec: np.ndarray, position) -> np.ndarray:
@@ -311,7 +254,7 @@ def rope_rotate(vec: np.ndarray, position) -> np.ndarray:
     if v.ndim != 1:
         raise ShapeMismatchError(f"expected a 1-D feature vector, got shape {v.shape}")
     pos = np.asarray(position, dtype=np.int64).reshape(1, -1)
-    return _rope_apply(v.reshape(1, -1), pos)[0]
+    return _rotate_pairs(v.reshape(1, -1), *_rope_table(v.size, pos))[0]
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
@@ -331,10 +274,6 @@ def _softmax_rows_inplace(scores: np.ndarray) -> np.ndarray:
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     return scores
-
-
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    return _softmax_rows_inplace(scores.copy())
 
 
 def _split_heads(x: np.ndarray, head_count: int) -> np.ndarray:
@@ -393,7 +332,7 @@ def self_attention(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:
         branch.self_query, branch.self_key, branch.self_value, branch.self_output,
         params.head_count,
     )
-    return _with_tokens(seq, seq.tokens + out)
+    return TokenSeq(_freeze(seq.tokens + out), seq.positions, seq.modality)
 
 
 def cross_attention(
@@ -422,7 +361,8 @@ def cross_attention(
         branch.cross_query, branch.cross_key, branch.cross_value, branch.cross_output,
         params.head_count,
     )
-    return _with_tokens(queries_from, queries_from.tokens + out)
+    return TokenSeq(_freeze(queries_from.tokens + out), queries_from.positions,
+                    queries_from.modality)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -443,7 +383,7 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 def _feed_forward(seq: TokenSeq, branch: BranchParams) -> TokenSeq:
     h = _layer_norm(seq.tokens, branch.gain_ff)
     out = _gelu(h @ branch.ff_in) @ branch.ff_out
-    return _with_tokens(seq, seq.tokens + out)
+    return TokenSeq(_freeze(seq.tokens + out), seq.positions, seq.modality)
 
 
 def _stage1(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:
@@ -457,7 +397,8 @@ def _stage1(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:
     kept = seq._kept_stage1
     if kept is not None and kept[0]() is params:
         return kept[1]
-    shifted = _with_tokens(seq, seq.tokens + params.offset_for(seq.modality))
+    shifted = TokenSeq(_freeze(seq.tokens + params.offset_for(seq.modality)),
+                       seq.positions, seq.modality)
     out = self_attention(shifted, params)
     object.__setattr__(seq, "_kept_stage1", (weakref.ref(params), out))
     return out

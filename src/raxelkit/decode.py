@@ -19,7 +19,7 @@ a single frame pair. Only ``GridKind.RAXEL`` grids decode.
 
 The principal point is taken as the image center unless the caller
 supplies one; ``decoded_trajectory`` turns decoded frames into a
-``Trajectory`` with it there.
+``Trajectory`` with the same principal point.
 
 Only the errors in ``FRAME_FAILURES`` (degenerate geometry, too few or
 non-positive focal votes, non-finite pixels) fail a single frame; a
@@ -257,15 +257,19 @@ def decoded_trajectory(
     reference_position: int,
     width: int,
     height: int,
+    cx: float | None = None,
+    cy: float | None = None,
 ) -> Trajectory:
-    """The decoded frames as a trajectory, with the principal point at the
-    image center.
+    """The decoded frames as a trajectory, with the principal point at
+    (cx, cy), the image center by default, as ``decode_trajectory`` takes it.
 
     ``decoded`` and ``failures`` are what ``decode_trajectory`` returned.
     Failed frames (None) are dropped; the others keep their frame indices,
     and the reference index follows the reference frame. When the reference
     frame itself failed, raises a RaxelkitError chained from its failure.
     """
+    cx = width / 2.0 if cx is None else cx
+    cy = height / 2.0 if cy is None else cy
     for failure in failures:
         if failure.position == reference_position:
             raise RaxelkitError(
@@ -273,8 +277,8 @@ def decoded_trajectory(
             ) from failure.error
     frames = tuple(
         CameraFrame(
-            intrinsics=Intrinsics(fx=d.fx_hat, fy=d.fy_hat, cx=width / 2.0,
-                                  cy=height / 2.0, width=width, height=height),
+            intrinsics=Intrinsics(fx=d.fx_hat, fy=d.fy_hat, cx=cx, cy=cy,
+                                  width=width, height=height),
             pose=d.pose,
             index=index,
         )

@@ -30,28 +30,36 @@ from .geometry import (
     Intrinsics,
     Pose,
     Trajectory,
+    _freeze,
+    _PickledAsConstructorCall,
+    _read_only,
     axis_angle_rotation,
     canonicalize,
     rotation_angle,
 )
-from .rays import GridKind, RayGrid, TrajectoryRaxels, _encode, _frozen_grid, ray_grid
+from .rays import GridKind, RayGrid, TrajectoryRaxels, _encode, ray_grid
 
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 X_AXIS = np.array([1.0, 0.0, 0.0])
 
 
 @dataclass(frozen=True, eq=False)
-class PoseErrorReport:
+class PoseErrorReport(_PickledAsConstructorCall):
     """Per-frame and mean pose errors of a predicted trajectory.
 
     Means are taken over the non-reference frames only (the reference is
-    identity by construction on both sides).
+    identity by construction on both sides). The per-frame arrays are
+    stored read-only; writeable memory is copied.
     """
 
     rotation_error: np.ndarray
     translation_error: np.ndarray
     mean_rotation_error: float
     mean_translation_error: float
+
+    def __post_init__(self):
+        for name in ("rotation_error", "translation_error"):
+            object.__setattr__(self, name, _read_only(np.asarray(getattr(self, name))))
 
 
 class PerturbationKind(enum.Enum):
@@ -124,11 +132,9 @@ def pose_errors(predicted: Trajectory, ground_truth: Trajectory) -> PoseErrorRep
     keep = np.arange(n) != predicted.reference_index
     mean_rot = float(rot[keep].mean()) if keep.any() else 0.0
     mean_trans = float(trans[keep].mean()) if keep.any() else 0.0
-    rot.flags.writeable = False
-    trans.flags.writeable = False
     return PoseErrorReport(
-        rotation_error=rot,
-        translation_error=trans,
+        rotation_error=_freeze(rot),
+        translation_error=_freeze(trans),
         mean_rotation_error=mean_rot,
         mean_translation_error=mean_trans,
     )
@@ -222,23 +228,23 @@ def perturb(image: RayGrid, spec: PerturbationSpec) -> RayGrid:
         with np.errstate(over="ignore"):  # a huge sigma gives inf, which decoding reports
             noisy *= spec.magnitude
         noisy += data
-        return _frozen_grid(noisy, kind)
+        return RayGrid(_freeze(noisy), kind)
     if spec.kind is PerturbationKind.UNIFORM_QUANTIZE:
         lo = float(data.min())
         span = float(data.max()) - lo
         if span == 0.0:
-            return _frozen_grid(data.copy(), kind)
+            return RayGrid(_freeze(data.copy()), kind)
         levels = 2 ** int(spec.magnitude)
         step = span / levels
         bins = np.clip(np.floor((data - lo) / step), 0, levels - 1)
-        return _frozen_grid(lo + (bins + 0.5) * step, kind)
+        return RayGrid(_freeze(lo + (bins + 0.5) * step), kind)
     # pixel dropout: a seeded pixel subset collapses to the image mean
     flat = data.reshape(-1, kind.channels).copy()
     count = int(round(spec.magnitude * flat.shape[0]))
     if count:
         chosen = rng.choice(flat.shape[0], size=count, replace=False)
         flat[chosen] = data.reshape(-1, kind.channels).mean(axis=0)
-    return _frozen_grid(flat.reshape(data.shape), kind)
+    return RayGrid(_freeze(flat.reshape(data.shape)), kind)
 
 
 class _DamagedFrames:
@@ -299,9 +305,10 @@ def cycle_consistency_run(
     # the clean grids are finite, so non-finite pixels come from the
     # perturbation; they explain any other failure, so they go first
     damage = f"the {spec.kind.value} perturbation of magnitude {spec.magnitude:g}"
+    image = (intr.width, intr.height, intr.cx, intr.cy)
     try:
         decoded, failures = decode_trajectory(
-            _DamagedFrames(canonical, spec), canonical.reference_index, intr.width, intr.height
+            _DamagedFrames(canonical, spec), canonical.reference_index, *image
         )
     except NonFiniteInputError as err:
         raise NonFiniteInputError(f"{damage} produced non-finite pixels: {err}") from err
@@ -320,12 +327,7 @@ def cycle_consistency_run(
         ) from first.error
 
     predicted = decoded_trajectory(
-        decoded,
-        failures,
-        [f.index for f in canonical.frames],
-        canonical.reference_index,
-        intr.width,
-        intr.height,
+        decoded, failures, [f.index for f in canonical.frames], canonical.reference_index, *image
     )
 
     report = pose_errors(predicted, canonical)

@@ -12,6 +12,9 @@ The sampler integrates a caller-supplied velocity field with uniform
 explicit Euler steps. Groups of state entries can be frozen: they are
 re-pinned to their initial values after every step, which is how a subset
 of tokens is held at its data value while the rest are denoised.
+
+``FlowBatch`` stores its endpoints by ``geometry``'s array rule:
+read-only, with the caller's writeable arrays copied.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .errors import (
     InvalidFrameCountError,
     ShapeMismatchError,
 )
+from .geometry import _PickledAsConstructorCall, _read_only
 
 ZERO_NORM_THRESHOLD = 1e-12
 DEFAULT_COSINE_WEIGHT = 0.5
@@ -41,8 +45,9 @@ def _as_state(x, name: str) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class FlowBatch:
-    """Endpoint pair (x0 noise, x1 data) and a time t on the path."""
+class FlowBatch(_PickledAsConstructorCall):
+    """Endpoint pair (x0 noise, x1 data) and a time t on the path. The
+    endpoints are stored read-only; writeable memory is copied."""
 
     x0: np.ndarray
     x1: np.ndarray
@@ -56,8 +61,8 @@ class FlowBatch:
         t = float(self.t)
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {t}")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
+        object.__setattr__(self, "x0", _read_only(x0))
+        object.__setattr__(self, "x1", _read_only(x1))
         object.__setattr__(self, "t", t)
 
 

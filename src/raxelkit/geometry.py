@@ -3,11 +3,18 @@
 Poses are camera-to-world throughout; world-to-camera is derived via
 ``inverse`` and never stored. Rotations are kept as 3x3 matrices. All types
 are immutable after construction and every operation is a pure function.
+
+It also holds the package's one rule for every value type that holds
+arrays: ``_read_only`` keeps an array when nothing beneath it can be
+written (read-only views down to owned memory or an immutable ``bytes``
+buffer) and otherwise stores a frozen copy; ``_freeze`` marks a fresh
+array so it is kept uncopied; ``_PickledAsConstructorCall`` unpickles and
+deep-copies through the constructor, which applies the rule again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -15,6 +22,36 @@ import numpy as np
 # MAX_POSE_DRIFT (what file deserialization may carry), is polar-projected.
 ORTHONORMALITY_DRIFT = 1e-9
 MAX_POSE_DRIFT = 1e-6
+
+
+def _freeze(fresh: np.ndarray) -> np.ndarray:
+    """Mark an array that nothing else holds, and the fresh arrays it
+    views, read-only; returns it."""
+    arr = fresh
+    while isinstance(arr, np.ndarray):
+        arr.flags.writeable = False
+        arr = arr.base
+    return fresh
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when neither it nor any array it views can be
+    written and the memory beneath is its own or an immutable ``bytes``
+    buffer, otherwise a frozen copy."""
+    base = arr
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base
+    return arr if base is None or isinstance(base, bytes) else _freeze(arr.copy())
+
+
+class _PickledAsConstructorCall:
+    """Unpickles and deep-copies a dataclass through its constructor: numpy
+    arrays come back writeable, so they must be frozen again, and a
+    sequence's kept attention stage holds a weak reference, which cannot
+    be pickled and is not carried over."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def nearest_rotation(matrix: np.ndarray) -> np.ndarray:
@@ -55,7 +92,8 @@ def rotation_angle(rotation: np.ndarray) -> float | np.ndarray:
     return float(angle) if r.ndim == 2 else angle
 
 
-class Pose:
+@dataclass(frozen=True, eq=False, repr=False)
+class Pose(_PickledAsConstructorCall):
     """SE(3) rigid transform: x_world = rotation @ x_camera + translation.
 
     The rotation is validated at construction: orthonormality drift up to
@@ -63,11 +101,12 @@ class Pose:
     non-orthonormal matrices are rejected. Instances are immutable.
     """
 
-    __slots__ = ("rotation", "translation")
+    rotation: np.ndarray
+    translation: np.ndarray
 
-    def __init__(self, rotation, translation):
-        r = np.array(rotation, dtype=float)
-        t = np.array(translation, dtype=float)
+    def __post_init__(self):
+        r = np.asarray(self.rotation, dtype=float)
+        t = np.asarray(self.translation, dtype=float)
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got {r.shape}")
         if t.shape != (3,):
@@ -83,13 +122,8 @@ class Pose:
             raise ValueError("rotation must be proper (det = +1), got a reflection")
         if drift > ORTHONORMALITY_DRIFT:
             r = nearest_rotation(r)
-        r.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Pose is immutable")
+        object.__setattr__(self, "rotation", _read_only(r))
+        object.__setattr__(self, "translation", _read_only(t))
 
     def __repr__(self) -> str:
         return f"Pose(rotation={self.rotation.tolist()}, translation={self.translation.tolist()})"

@@ -12,6 +12,10 @@ rays ``d_cam`` of ``ray_grid`` (which caches one grid). Each is a
 * raymap       -- 6 channels: ``[T, R @ d_cam]`` with the origin repeated
   at every pixel.
 
+``RayGrid`` stores its data by ``geometry``'s array rule; the encoders,
+``evaluation.perturb`` and ``io.load_raxel`` hand it frozen or
+``bytes``-backed arrays, which it keeps uncopied.
+
 ``encode_trajectory_raxels`` returns a trajectory's raxel images as a
 ``TrajectoryRaxels`` sequence, which encodes frame k each time element k
 is read, so a reader that takes one frame at a time holds one grid.
@@ -32,7 +36,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import CameraFrame, Intrinsics, Pose, Trajectory, canonicalize
+from .geometry import (
+    CameraFrame,
+    Intrinsics,
+    Pose,
+    Trajectory,
+    _freeze,
+    _PickledAsConstructorCall,
+    _read_only,
+    canonicalize,
+)
 
 
 class GridKind(enum.Enum):
@@ -48,9 +61,10 @@ class GridKind(enum.Enum):
 
 
 @dataclass(frozen=True, eq=False)
-class RayGrid:
+class RayGrid(_PickledAsConstructorCall):
     """Immutable half-resolution grid of ray vectors; ``kind`` fixes the
-    layout and the channel count."""
+    layout and the channel count. The data is stored read-only; writeable
+    memory is copied."""
 
     data: np.ndarray
     kind: GridKind = GridKind.RAXEL
@@ -62,10 +76,7 @@ class RayGrid:
             raise ValueError(
                 f"{self.kind.value} data must have shape (H_r, W_r, {c}), got {d.shape}"
             )
-        if d.flags.writeable:
-            d = d.copy()
-            d.flags.writeable = False
-        object.__setattr__(self, "data", d)
+        object.__setattr__(self, "data", _read_only(d))
 
     @property
     def height_r(self) -> int:
@@ -74,12 +85,6 @@ class RayGrid:
     @property
     def width_r(self) -> int:
         return self.data.shape[1]
-
-
-def _frozen_grid(data: np.ndarray, kind: GridKind = GridKind.RAXEL) -> RayGrid:
-    """Wrap a freshly computed array, sparing RayGrid's defensive copy."""
-    data.flags.writeable = False
-    return RayGrid(data, kind)
 
 
 def grid_pixel_coordinates(width: int, height: int) -> tuple[np.ndarray, np.ndarray]:
@@ -110,8 +115,7 @@ def ray_grid(intrinsics: Intrinsics) -> np.ndarray:
     np.divide(x[None, :], norm, out=dirs[:, :, 0])
     np.divide(y[:, None], norm, out=dirs[:, :, 1])
     np.divide(1.0, norm, out=dirs[:, :, 2])
-    dirs.flags.writeable = False
-    return dirs
+    return _freeze(dirs)
 
 
 def _encode(dirs: np.ndarray, pose: Pose, kind: GridKind) -> np.ndarray:
@@ -139,19 +143,19 @@ def _encode(dirs: np.ndarray, pose: Pose, kind: GridKind) -> np.ndarray:
 def encode_raxel(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     """Raxel image of ``frame`` at relative pose ``pose_rel``: per pixel,
     world direction R_rel @ d_cam plus origin T_rel."""
-    return _frozen_grid(_encode(ray_grid(frame.intrinsics), pose_rel, GridKind.RAXEL))
+    return RayGrid(_freeze(_encode(ray_grid(frame.intrinsics), pose_rel, GridKind.RAXEL)))
 
 
 def encode_plucker(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     """Plucker line map: channels [direction, direction x origin]."""
     kind = GridKind.PLUCKER
-    return _frozen_grid(_encode(ray_grid(frame.intrinsics), pose_rel, kind), kind)
+    return RayGrid(_freeze(_encode(ray_grid(frame.intrinsics), pose_rel, kind)), kind)
 
 
 def encode_raymap(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     """Raymap: channels [origin, direction] with the origin constant per frame."""
     kind = GridKind.RAYMAP
-    return _frozen_grid(_encode(ray_grid(frame.intrinsics), pose_rel, kind), kind)
+    return RayGrid(_freeze(_encode(ray_grid(frame.intrinsics), pose_rel, kind)), kind)
 
 
 class TrajectoryRaxels(Sequence):

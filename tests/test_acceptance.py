@@ -16,7 +16,7 @@ from raxelkit.attention import (
     LAYERNORM_EPS,
     Modality,
     TokenSeq,
-    _softmax_rows,
+    _softmax_rows_inplace,
     cross_attention,
     dsca_block,
     init_dsca_params,
@@ -386,7 +386,7 @@ def test_criterion_06_attention_block_oracles():
     moved = rope_rotate(q, p1 + shift) @ rope_rotate(k, p2 + shift)
     assert abs(base - moved) < 1e-9
 
-    rows = _softmax_rows(rng.normal(size=(6, 9)) * 4.0)
+    rows = _softmax_rows_inplace(rng.normal(size=(6, 9)) * 4.0)
     assert np.abs(rows.sum(axis=-1) - 1.0).max() < 1e-9
     assert rows.min() >= 0.0
 

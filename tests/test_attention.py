@@ -20,8 +20,8 @@ from raxelkit.attention import (
     self_attention,
 )
 from raxelkit import attention
-from raxelkit.attention import _softmax_rows
-from raxelkit.attention import _attend, _gelu, _layer_norm, _rope_apply
+from raxelkit.attention import _softmax_rows_inplace
+from raxelkit.attention import _attend, _gelu, _layer_norm, _rope_table, _rotate_pairs
 from raxelkit.errors import ShapeMismatchError
 from raxelkit.flow import FreezeMask, euler_sample
 
@@ -355,7 +355,7 @@ class TestDscaBlock:
 class TestValidation:
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(40)
-        probs = _softmax_rows(rng.normal(scale=5.0, size=(3, 6, 6)))
+        probs = _softmax_rows_inplace(rng.normal(scale=5.0, size=(3, 6, 6)))
         assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-9
 
     def test_head_count_must_divide_d_model(self):
@@ -487,8 +487,9 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(50)
         positions = generate_positions()
         stack = rng.normal(size=(GEN_HEADS, positions.shape[0], GEN_D_MODEL // GEN_HEADS))
-        per_head = np.stack([_rope_apply(stack[h], positions) for h in range(GEN_HEADS)])
-        assert np.array_equal(_rope_apply(stack, positions), per_head)
+        table = _rope_table(stack.shape[-1], positions)
+        per_head = np.stack([_rotate_pairs(stack[h], *table) for h in range(GEN_HEADS)])
+        assert np.array_equal(_rotate_pairs(stack, *table), per_head)
         assert np.array_equal(per_head[1], formula_rope(stack[1], positions))
 
     def test_rope_on_a_transposed_head_view(self):
@@ -498,7 +499,7 @@ class TestInPlaceKernels:
         flat = rng.normal(size=(positions.shape[0], GEN_D_MODEL))
         view = flat.reshape(positions.shape[0], GEN_HEADS, -1).transpose(1, 0, 2)
         expected = np.stack([formula_rope(view[h], positions) for h in range(GEN_HEADS)])
-        assert np.array_equal(_rope_apply(view, positions), expected)
+        assert np.array_equal(_rotate_pairs(view, *_rope_table(view.shape[-1], positions)), expected)
 
     def test_self_attention_builds_one_rope_table(self, monkeypatch):
         # queries and keys share seq.positions; cross-attention has two arrays
@@ -517,7 +518,7 @@ class TestInPlaceKernels:
         rng = np.random.default_rng(52)
         scores = rng.normal(scale=8.0, size=(GEN_HEADS, 384, 384))
         before = scores.copy()
-        assert np.array_equal(_softmax_rows(scores), formula_softmax(scores))
+        assert np.array_equal(_softmax_rows_inplace(scores.copy()), formula_softmax(scores))
         assert np.array_equal(scores, before)
 
     def test_attend_normalizes_its_scores_in_place(self):

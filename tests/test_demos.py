@@ -1,7 +1,9 @@
 """Every script in demos/ runs to completion and prints; the Plucker demo
-slides its origins along the pixel rays."""
+slides its origins along the pixel rays; README's library quick start runs
+and recovers the trajectory as its comments state."""
 
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -35,3 +37,16 @@ def test_representations_slides_origins_along_the_pixel_rays(capsys):
     capsys.readouterr()
     offsets = ns["origins"] - ns["pose"].translation
     assert np.abs(np.cross(offsets, ns["d"])).max() < 1e-12
+
+
+def test_readme_library_quick_start_runs_as_documented(capsys):
+    readme = (ROOT / "README.md").read_text()
+    code = re.search(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S).group(1)
+    ns = {}
+    exec(compile(code, "README.md", "exec"), ns)
+    assert capsys.readouterr().out.strip()
+    frame, truth = ns["frame"], ns["gt"].frames[5]
+    assert np.abs(frame.pose.rotation - truth.pose.rotation).max() < 1e-12
+    assert np.abs(frame.pose.translation - truth.pose.translation).max() < 1e-12
+    assert abs(frame.fx_hat / 700.0 - 1.0) < 1e-13
+    assert abs(frame.fy_hat / 680.0 - 1.0) < 1e-13

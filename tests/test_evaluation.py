@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from raxelkit import evaluation
 from raxelkit.errors import (
     LengthMismatchError,
     ReferenceMismatchError,
@@ -376,6 +377,21 @@ class TestCycleConsistency:
         assert report.mean_translation_error < 1e-9
         assert mrra30 == 1.0
         assert residual < 1e-8
+
+    def test_off_centre_principal_point_round_trips(self, monkeypatch):
+        intr = Intrinsics(fx=500.0, fy=520.0, cx=300.0, cy=200.0, width=832, height=480)
+        t = generate_trajectory(TrajectoryKind.ORBIT, 9, intr)
+        predicted = []
+        real = evaluation.decoded_trajectory
+        monkeypatch.setattr(evaluation, "decoded_trajectory",
+                            lambda *args, **kw: predicted.append(real(*args, **kw)) or predicted[-1])
+        spec = PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.0, seed=0)
+        _, _, residual = cycle_consistency_run(t, spec)
+        assert residual < 1e-9
+        for frame in predicted[0].frames:
+            got = frame.intrinsics
+            assert abs(got.fx - 500.0) < 1e-9 * 500.0 and abs(got.fy - 520.0) < 1e-9 * 520.0
+            assert (got.cx, got.cy) == (300.0, 200.0)
 
     def test_deterministic(self):
         t = generate_trajectory(TrajectoryKind.ARC_LEFT, 9, INTR)

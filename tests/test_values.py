@@ -1,0 +1,137 @@
+"""Every value type that holds arrays keeps one rule: its arrays are
+read-only, a caller's writeable memory is copied, fresh arrays are kept
+uncopied, and pickling or deep-copying goes through the constructor, so
+the copy keeps the rule too."""
+
+import copy
+import dataclasses
+import os
+import pickle
+
+import numpy as np
+import pytest
+
+from raxelkit.decode import decode_trajectory
+from raxelkit.evaluation import (
+    PerturbationKind,
+    PerturbationSpec,
+    TrajectoryKind,
+    generate_trajectory,
+    perturb,
+    pose_errors,
+)
+from raxelkit.flow import FlowBatch
+from raxelkit.geometry import Intrinsics
+from raxelkit.io import load_raxel, save_raxel
+from raxelkit.rays import RayGrid, encode_plucker, encode_raxel, encode_trajectory_raxels
+
+INTR = Intrinsics(fx=90.0, fy=95.0, cx=40.0, cy=24.0, width=80, height=48)
+ORBIT = generate_trajectory(TrajectoryKind.ORBIT, 5, INTR)
+ARC = generate_trajectory(TrajectoryKind.ARC_LEFT, 5, INTR)
+
+
+def values():
+    decoded, _ = decode_trajectory(encode_trajectory_raxels(ORBIT), 0, INTR.width, INTR.height)
+    rng = np.random.default_rng(3)
+    return {
+        "Trajectory": ORBIT,
+        "DecodedFrame": decoded[2],
+        "RayGrid": encode_plucker(ORBIT.frames[1], ORBIT.frames[1].pose),
+        "PoseErrorReport": pose_errors(ARC, ORBIT),
+        "FlowBatch": FlowBatch(x0=rng.normal(size=6), x1=rng.normal(size=6), t=0.25),
+    }
+
+
+COPIERS = {
+    "pickle": lambda v: pickle.loads(pickle.dumps(v)),
+    "pickle5": lambda v: pickle.loads(pickle.dumps(v, protocol=5)),
+    "deepcopy": copy.deepcopy,
+}
+
+
+def assert_same_value(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert not got.flags.writeable
+    elif dataclasses.is_dataclass(want):
+        for f in dataclasses.fields(want):
+            assert_same_value(getattr(got, f.name), getattr(want, f.name))
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_value(g, w)
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+@pytest.mark.parametrize("name", ["Trajectory", "DecodedFrame", "RayGrid", "PoseErrorReport",
+                                  "FlowBatch"])
+def test_round_trip_gives_an_equal_value_with_read_only_arrays(name, copier):
+    value = values()[name]
+    assert_same_value(copier(value), value)
+
+
+def test_ray_grid_copies_a_read_only_view_of_writeable_memory():
+    base = np.zeros((4, 5, 3))
+    view = base.view()
+    view.flags.writeable = False
+    grid = RayGrid(view)
+    base[:] = 5.0
+    assert np.all(grid.data == 0.0)
+    assert not grid.data.flags.writeable
+
+
+def test_flow_batch_copies_the_callers_arrays():
+    x0, x1 = np.zeros(4), np.ones(4)
+    batch = FlowBatch(x0=x0, x1=x1, t=0.5)
+    x0 += 2.0
+    x1 += 2.0
+    assert np.all(batch.x0 == 0.0) and np.all(batch.x1 == 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        batch.x0[0] = 1.0
+
+
+def address(arr):
+    return arr.__array_interface__["data"][0]
+
+
+@pytest.fixture
+def handed(monkeypatch):
+    """Addresses of the arrays handed to RayGrid's constructor."""
+    seen = []
+    real = RayGrid.__post_init__
+
+    def spy(self):
+        seen.append(address(np.asarray(self.data)))
+        real(self)
+
+    monkeypatch.setattr(RayGrid, "__post_init__", spy)
+    return seen
+
+
+def producers(tmp_path):
+    frame = ORBIT.frames[3]
+    clean = encode_raxel(frame, frame.pose)
+
+    def loaded():
+        path = os.path.join(tmp_path, "g.rxl")
+        save_raxel(path, clean, 3)
+        return load_raxel(path)[0]
+
+    yield "encode_raxel", lambda: encode_raxel(frame, frame.pose)
+    yield "encode_plucker", lambda: encode_plucker(frame, frame.pose)
+    for kind, magnitude in ((PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01),
+                            (PerturbationKind.UNIFORM_QUANTIZE, 8),
+                            (PerturbationKind.PIXEL_DROPOUT, 0.3)):
+        spec = PerturbationSpec(kind, magnitude, seed=1)
+        yield f"perturb {kind.value}", lambda spec=spec: perturb(clean, spec)
+    yield "load_raxel", loaded
+
+
+def test_fresh_arrays_reach_ray_grid_uncopied(handed, tmp_path):
+    for name, produce in producers(tmp_path):
+        grid = produce()
+        assert address(grid.data) == handed[-1], name
+        assert not grid.data.flags.writeable, name
