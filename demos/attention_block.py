@@ -52,3 +52,52 @@ a, _ = dsca_block(video, ray, silenced)
 b, _ = dsca_block(video, other_ray, silenced)
 print(f"with cross-value silenced, swapping the ray stream moves video by "
       f"{np.abs(a.tokens - b.tokens).max():.2e}")
+
+# a sampler that predicts rays for a given video holds the video stream
+# fixed: passed as the same object with the same params, it runs its stage 1
+# and projects its stage-2 side (queries under the video branch, keys and
+# values under the ray branch) once per Euler run, and the run matches one
+# that builds a fresh video sequence every step
+from raxelkit import attention, euler_sample
+
+ran = {"stage 1": 0, "stage 2": 0}
+real_self_attention, real_queries, real_keys_values = (
+    attention.self_attention, attention._queries, attention._keys_values)
+
+
+def counted_self_attention(seq, block_params):
+    ran["stage 1"] += seq.modality is Modality.VIDEO
+    return real_self_attention(seq, block_params)
+
+
+def counted(real, video_side_weight):
+    def projection(h, table, weight, *rest):
+        ran["stage 2"] += weight is video_side_weight
+        return real(h, table, weight, *rest)
+    return projection
+
+
+attention.self_attention = counted_self_attention
+attention._queries = counted(real_queries, params.video.cross_query)
+attention._keys_values = counted(real_keys_values, params.ray.cross_key)
+x0 = np.random.default_rng(7).normal(size=8 * d_model)
+
+
+def run(video_for_step):
+    ran.update({"stage 1": 0, "stage 2": 0})
+
+    def velocity(x, t):
+        ray_t = TokenSeq(x.reshape(8, d_model), ray.positions, Modality.RAY)
+        _, ray_out = dsca_block(video_for_step(), ray_t, params)
+        return (ray_out.tokens - ray_t.tokens).ravel()
+
+    return euler_sample(x0, velocity, 8), dict(ran)
+
+
+fresh, fresh_ran = run(lambda: TokenSeq(video.tokens, video.positions, Modality.VIDEO))
+held, held_ran = run(lambda: video)
+print(f"8 Euler steps with a held video equal a fresh video every step, bit for bit: "
+      f"{np.array_equal(held, fresh)}")
+for label, counts in (("fresh", fresh_ran), ("held", held_ran)):
+    print(f"  {label} video: stage-1 self-attention {counts['stage 1']}x, "
+          f"stage-2 projections {counts['stage 2']}x")

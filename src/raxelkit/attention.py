@@ -20,17 +20,29 @@ offset vectors are added to the token features on entry to the block.
 All parameters are plain numpy arrays; there is no training code. The
 seeded initializer exists so tests and demos are reproducible.
 
+The attention core projects queries, keys and values for all heads at
+once, then runs one head at a time through a single (n_q, n_kv) score
+buffer. The queries are scaled by 1/sqrt(head_dim) before the score
+product, and the softmax is normalized after the value product: the row
+sums divide the (n_q, head_dim) result rather than the weights. Both
+differ from the plain formulas by a few ulp.
+
 Sequences and parameter sets hold read-only arrays by ``geometry``'s
 array rule: a writeable input (or a read-only view of writeable memory)
-is copied once and frozen; sublayers pass their fresh tokens frozen, so
-they are kept. That makes a stream's stage 1 (offset add plus
-self-attention) a function of the two objects alone, so ``dsca_block``
-computes it once per (sequence, parameter set) pair and reuses it while
-the caller passes the same two objects again, as a sampler does for the
-stream it holds fixed. The reused state is kept on the sequence, with
-the parameter set held weakly, so it lives exactly as long as the
-sequence it came from; a new weight set (``dataclasses.replace``
-included) is a new object and gets its stage 1 computed afresh.
+is copied once and frozen, and the stored array is a view that cannot be
+made writeable again; sublayers pass their fresh tokens frozen, so they
+are kept. That makes anything computed from one sequence and one
+parameter set a function of the two objects alone, so each sequence has
+one kept-state slot for one parameter set: ``dsca_block`` keeps a stream's
+stage 1 (offset add plus self-attention) there, and ``cross_attention``
+keeps a sequence's projections there (its normalized, rotated queries,
+and its keys and values, under the branch that used them). A sampler that
+passes the same stream and parameter set at every step, as it does for
+the stream it holds fixed, computes that stream's stage 1 and, on that
+output, its stage-2 projections once. The parameter set is held weakly,
+so the kept state lives exactly as long as the sequence it came from; a
+new weight set (``dataclasses.replace`` included) is a new object and
+gets everything computed afresh.
 """
 
 from __future__ import annotations
@@ -86,7 +98,7 @@ class TokenSeq(_PickledAsConstructorCall):
             raise ValueError("positions must be unique within a sequence")
         object.__setattr__(self, "tokens", _read_only(tok))
         object.__setattr__(self, "positions", _read_only(pos.astype(np.int64, copy=False)))
-        object.__setattr__(self, "_kept_stage1", None)
+        object.__setattr__(self, "_kept_state", None)
 
     @property
     def count(self) -> int:
@@ -234,9 +246,11 @@ def _rope_table(length: int, positions: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 def _rotate_pairs(mat: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
     """Rotate consecutive feature pairs of ``mat`` (..., n, length) by a
-    ``_rope_table``, broadcast over the leading (head) axes."""
+    ``_rope_table``, broadcast over the leading (head) axes. The result is
+    C-contiguous even for a transposed head view, so each head is one
+    plain (n, length) block."""
     even, odd = mat[..., 0::2], mat[..., 1::2]
-    out = np.empty_like(mat)
+    out = np.empty(mat.shape)
     out[..., 0::2] = even * cos - odd * sin
     out[..., 1::2] = even * sin + odd * cos
     return out
@@ -258,22 +272,18 @@ def rope_rotate(vec: np.ndarray, position) -> np.ndarray:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray) -> np.ndarray:
-    # a row spread past ~1e154 squares out of float64: refuse it rather than
-    # divide by an infinite variance and return zeros
+    # the centred rows serve both the variance (np.var's own steps, so bit
+    # for bit) and the output. A row spread past ~1e154 squares out of
+    # float64: refuse it rather than divide by an infinite variance and
+    # return zeros
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = x.mean(axis=1, keepdims=True)
-        var = x.var(axis=1, keepdims=True)
+        out = x - x.mean(axis=1, keepdims=True)
+        var = np.square(out).mean(axis=1, keepdims=True)
     if not np.all(np.isfinite(var)):
         raise ValueError("tokens too large to layer-normalize: their variance overflows float64")
-    return (x - mean) / np.sqrt(var + LAYERNORM_EPS) * gain
-
-
-def _softmax_rows_inplace(scores: np.ndarray) -> np.ndarray:
-    """Row softmax of ``scores``, written over it; returns ``scores``."""
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return scores
+    out /= np.sqrt(var + LAYERNORM_EPS)
+    out *= gain
+    return out
 
 
 def _split_heads(x: np.ndarray, head_count: int) -> np.ndarray:
@@ -284,6 +294,46 @@ def _split_heads(x: np.ndarray, head_count: int) -> np.ndarray:
 def _merge_heads(x: np.ndarray) -> np.ndarray:
     h, n, hd = x.shape
     return x.transpose(1, 0, 2).reshape(n, h * hd)
+
+
+def _queries(h: np.ndarray, table, w_query: np.ndarray, head_count: int) -> np.ndarray:
+    """Rotated (heads, n, head_dim) queries, already scaled by
+    1/sqrt(head_dim) so the scores come out of ``q @ k.T`` scaled."""
+    q = _rotate_pairs(_split_heads(h @ w_query, head_count), *table)
+    q *= 1.0 / np.sqrt(q.shape[2])
+    return _freeze(q)
+
+
+def _keys_values(
+    h: np.ndarray, table, w_key: np.ndarray, w_value: np.ndarray, head_count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rotated keys and values, each a C-contiguous (heads, n, head_dim)."""
+    k = _rotate_pairs(_split_heads(h @ w_key, head_count), *table)
+    v = np.ascontiguousarray(_split_heads(h @ w_value, head_count))
+    return _freeze(k), _freeze(v)
+
+
+def _attend_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, w_output: np.ndarray) -> np.ndarray:
+    """Softmax attention of projected queries over projected keys and
+    values, then the output projection.
+
+    One head at a time through one reused (n_q, n_kv) score buffer: the
+    exponentials are left unnormalized, and their row sums divide the small
+    (n_q, head_dim) product instead of the (n_q, n_kv) weights.
+    """
+    heads, n_q, head_dim = q.shape
+    scores = np.empty((n_q, k.shape[1]))
+    rows = np.empty((n_q, 1))
+    out = np.empty((heads, n_q, head_dim))
+    for h in range(heads):
+        np.matmul(q[h], k[h].T, out=scores)
+        np.max(scores, axis=1, keepdims=True, out=rows)
+        scores -= rows
+        np.exp(scores, out=scores)
+        np.sum(scores, axis=1, keepdims=True, out=rows)
+        np.matmul(scores, v[h], out=out[h])
+        out[h] /= rows
+    return _merge_heads(out) @ w_output
 
 
 def _attend(
@@ -297,25 +347,35 @@ def _attend(
     w_output: np.ndarray,
     head_count: int,
 ) -> np.ndarray:
-    """Multi-head attention core shared by the self and cross paths.
+    """Multi-head attention of normalized tokens, without the residual.
 
-    Inputs are already normalized; rotary encoding is applied to the
-    queries and keys of all heads at once, from one cos/sin table when both
-    sides pass the same positions array, as self-attention does. Returns
-    the output projection (no residual).
+    Rotary encoding is applied to the queries and keys of all heads at
+    once, from one cos/sin table when both sides pass the same positions
+    array, as self-attention does.
     """
     head_dim = q_tokens.shape[1] // head_count
-    q = _split_heads(q_tokens @ w_query, head_count)
-    k = _split_heads(kv_tokens @ w_key, head_count)
-    v = _split_heads(kv_tokens @ w_value, head_count)
     q_table = _rope_table(head_dim, q_positions)
     k_table = q_table if kv_positions is q_positions else _rope_table(head_dim, kv_positions)
-    q = _rotate_pairs(q, *q_table)
-    k = _rotate_pairs(k, *k_table)
-    scores = q @ k.transpose(0, 2, 1)
-    scores /= np.sqrt(head_dim)
-    attn = _softmax_rows_inplace(scores)
-    return _merge_heads(attn @ v) @ w_output
+    q = _queries(q_tokens, q_table, w_query, head_count)
+    return _attend_heads(q, *_keys_values(kv_tokens, k_table, w_key, w_value, head_count), w_output)
+
+
+def _kept(seq: TokenSeq, params: DscaBlockParams, key, compute):
+    """``compute()``, kept on ``seq`` under ``key`` for this params object.
+
+    A sequence's arrays are read-only, so whatever is computed from it and
+    one params object alone stays valid while both live. The slot holds
+    the params weakly: a dead one never matches, even if a new object
+    takes its id, and a different params object empties the slot.
+    """
+    slot = seq._kept_state
+    if slot is None or slot[0]() is not params:
+        slot = (weakref.ref(params), {})
+        object.__setattr__(seq, "_kept_state", slot)
+    state = slot[1]
+    if key not in state:
+        state[key] = compute()
+    return state[key]
 
 
 def self_attention(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:
@@ -344,6 +404,10 @@ def cross_attention(
     the normalization applied to the key/value stream; the peer sequence
     only contributes token features and positions. Residual added to the
     query sequence; output keeps the query modality.
+
+    The queries are kept on the query sequence and the keys and values on
+    the peer sequence, for this params object and branch, so a sequence
+    passed again (a held stream's stage-1 output) is projected once.
     """
     if queries_from.d_model != keys_values_from.d_model:
         raise ShapeMismatchError(
@@ -353,16 +417,22 @@ def cross_attention(
         raise ShapeMismatchError(
             f"token width {queries_from.d_model} does not match parameter width {params.d_model}"
         )
-    branch = params.branch_for(queries_from.modality)
-    hq = _layer_norm(queries_from.tokens, branch.gain_cross)
-    hkv = _layer_norm(keys_values_from.tokens, branch.gain_cross)
-    out = _attend(
-        hq, queries_from.positions, hkv, keys_values_from.positions,
-        branch.cross_query, branch.cross_key, branch.cross_value, branch.cross_output,
-        params.head_count,
-    )
-    return TokenSeq(_freeze(queries_from.tokens + out), queries_from.positions,
-                    queries_from.modality)
+    modality = queries_from.modality
+    branch = params.branch_for(modality)
+    heads = params.head_count
+    head_dim = params.d_model // heads
+
+    def normalized(seq):
+        """The layer-normalized tokens and the rotary table of the positions."""
+        return _layer_norm(seq.tokens, branch.gain_cross), _rope_table(head_dim, seq.positions)
+
+    q = _kept(queries_from, params, ("cross_query", modality),
+              lambda: _queries(*normalized(queries_from), branch.cross_query, heads))
+    k, v = _kept(keys_values_from, params, ("cross_key_value", modality),
+                 lambda: _keys_values(*normalized(keys_values_from),
+                                      branch.cross_key, branch.cross_value, heads))
+    out = _attend_heads(q, k, v, branch.cross_output)
+    return TokenSeq(_freeze(queries_from.tokens + out), queries_from.positions, modality)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
@@ -387,21 +457,15 @@ def _feed_forward(seq: TokenSeq, branch: BranchParams) -> TokenSeq:
 
 
 def _stage1(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:
-    """Stage 1 of the block for one stream: offset add, then self-attention.
+    """Stage 1 of the block for one stream: offset add, then self-attention,
+    kept on ``seq`` for this params object."""
 
-    It reads only ``seq`` and ``params``, whose arrays are read-only, so
-    the result is kept on ``seq`` and served again for the same params
-    object. The params are held by weak reference: a dead one never
-    matches, even if a new object takes its id.
-    """
-    kept = seq._kept_stage1
-    if kept is not None and kept[0]() is params:
-        return kept[1]
-    shifted = TokenSeq(_freeze(seq.tokens + params.offset_for(seq.modality)),
-                       seq.positions, seq.modality)
-    out = self_attention(shifted, params)
-    object.__setattr__(seq, "_kept_stage1", (weakref.ref(params), out))
-    return out
+    def compute():
+        shifted = TokenSeq(_freeze(seq.tokens + params.offset_for(seq.modality)),
+                           seq.positions, seq.modality)
+        return self_attention(shifted, params)
+
+    return _kept(seq, params, "stage1", compute)
 
 
 def dsca_block(
@@ -414,7 +478,9 @@ def dsca_block(
     per-branch feed-forward. Returns (video_out, ray_out).
 
     A stream passed again with the same params object (a held stream
-    across sampler steps) reuses its stage 1 from the earlier call.
+    across sampler steps) reuses its stage 1 from the earlier call, and
+    with it the stage-2 projections of that stage-1 output: its queries
+    under its own branch and its keys and values under the peer branch.
     """
     if video.modality is not Modality.VIDEO or ray.modality is not Modality.RAY:
         raise ValueError("dsca_block expects (video, ray) sequences in that order")

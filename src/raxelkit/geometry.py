@@ -9,7 +9,10 @@ arrays: ``_read_only`` keeps an array when nothing beneath it can be
 written (read-only views down to owned memory or an immutable ``bytes``
 buffer) and otherwise stores a frozen copy; ``_freeze`` marks a fresh
 array so it is kept uncopied; ``_PickledAsConstructorCall`` unpickles and
-deep-copies through the constructor, which applies the rule again.
+deep-copies through the constructor, which applies the rule again. Both
+store a view over the frozen memory, never the array that owns it, so
+setting a stored array's ``writeable`` flag raises rather than reopening
+it to writes.
 """
 
 from __future__ import annotations
@@ -26,28 +29,36 @@ MAX_POSE_DRIFT = 1e-6
 
 def _freeze(fresh: np.ndarray) -> np.ndarray:
     """Mark an array that nothing else holds, and the fresh arrays it
-    views, read-only; returns it."""
+    views, read-only; returns a view over that frozen memory, whose flag
+    numpy then refuses to set back to writeable."""
     arr = fresh
     while isinstance(arr, np.ndarray):
         arr.flags.writeable = False
         arr = arr.base
-    return fresh
+    return _pinned(fresh)
+
+
+def _pinned(arr: np.ndarray) -> np.ndarray:
+    """``arr`` when it is a view, else a view of it: an array that owns
+    its memory can always be made writeable again, a view over frozen
+    memory cannot."""
+    return arr if arr.base is not None else arr.view()
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself when neither it nor any array it views can be
+    """``arr`` (as a view) when neither it nor any array it views can be
     written and the memory beneath is its own or an immutable ``bytes``
     buffer, otherwise a frozen copy."""
     base = arr
     while isinstance(base, np.ndarray) and not base.flags.writeable:
         base = base.base
-    return arr if base is None or isinstance(base, bytes) else _freeze(arr.copy())
+    return _pinned(arr) if base is None or isinstance(base, bytes) else _freeze(arr.copy())
 
 
 class _PickledAsConstructorCall:
     """Unpickles and deep-copies a dataclass through its constructor: numpy
     arrays come back writeable, so they must be frozen again, and a
-    sequence's kept attention stage holds a weak reference, which cannot
+    sequence's kept attention state holds a weak reference, which cannot
     be pickled and is not carried over."""
 
     def __reduce__(self):

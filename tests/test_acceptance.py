@@ -16,7 +16,7 @@ from raxelkit.attention import (
     LAYERNORM_EPS,
     Modality,
     TokenSeq,
-    _softmax_rows_inplace,
+    _attend_heads,
     cross_attention,
     dsca_block,
     init_dsca_params,
@@ -386,9 +386,13 @@ def test_criterion_06_attention_block_oracles():
     moved = rope_rotate(q, p1 + shift) @ rope_rotate(k, p2 + shift)
     assert abs(base - moved) < 1e-9
 
-    rows = _softmax_rows_inplace(rng.normal(size=(6, 9)) * 4.0)
+    # the core normalizes after the value product: one-hot values read back
+    # the attention weights, all-ones values their row sums
+    q, k = rng.normal(size=(1, 6, 9)) * 4.0, rng.normal(size=(1, 9, 9))
+    rows = _attend_heads(q, k, np.eye(9)[None], np.eye(9))
     assert np.abs(rows.sum(axis=-1) - 1.0).max() < 1e-9
     assert rows.min() >= 0.0
+    assert np.abs(_attend_heads(q, k, np.ones((1, 9, 9)), np.eye(9)) - 1.0).max() < 1e-9
 
     params = init_dsca_params(rng_seed=0, d_model=d_model, head_count=heads)
     video = _tokens(8, d_model, Modality.VIDEO, 1)

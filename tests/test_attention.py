@@ -20,8 +20,9 @@ from raxelkit.attention import (
     self_attention,
 )
 from raxelkit import attention
-from raxelkit.attention import _softmax_rows_inplace
-from raxelkit.attention import _attend, _gelu, _layer_norm, _rope_table, _rotate_pairs
+from raxelkit.attention import (
+    _attend, _attend_heads, _gelu, _layer_norm, _rope_table, _rotate_pairs,
+)
 from raxelkit.errors import ShapeMismatchError
 from raxelkit.flow import FreezeMask, euler_sample
 
@@ -354,9 +355,16 @@ class TestDscaBlock:
 
 class TestValidation:
     def test_softmax_rows_sum_to_one(self):
+        # the core leaves its weights unnormalized until after the value
+        # product: all-ones values read back each row's weight sum, one-hot
+        # values read back the weights themselves
         rng = np.random.default_rng(40)
-        probs = _softmax_rows_inplace(rng.normal(scale=5.0, size=(3, 6, 6)))
-        assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-9
+        q, k = rng.normal(scale=5.0, size=(3, 6, 6)), rng.normal(size=(3, 6, 6))
+        summed = _attend_heads(q, k, np.ones((3, 6, 6)), np.eye(18))
+        assert np.max(np.abs(summed - 1.0)) < 1e-9
+        weights = _attend_heads(q, k, np.broadcast_to(np.eye(6), (3, 6, 6)), np.eye(18))
+        assert weights.min() >= 0.0
+        assert np.max(np.abs(weights.reshape(6, 3, 6).sum(axis=-1) - 1.0)) < 1e-9
 
     def test_head_count_must_divide_d_model(self):
         with pytest.raises(ShapeMismatchError):
@@ -515,11 +523,19 @@ class TestInPlaceKernels:
         assert len(built) == 3 and built[2] is ray.positions
 
     def test_softmax_matches_formula_and_keeps_its_input(self):
+        # the core divides the value product by the row sums rather than the
+        # weights by them: a few ulp from the formula, never its inputs changed
         rng = np.random.default_rng(52)
-        scores = rng.normal(scale=8.0, size=(GEN_HEADS, 384, 384))
-        before = scores.copy()
-        assert np.array_equal(_softmax_rows_inplace(scores.copy()), formula_softmax(scores))
-        assert np.array_equal(scores, before)
+        head_dim = GEN_D_MODEL // GEN_HEADS
+        q = rng.normal(scale=8.0 / np.sqrt(head_dim), size=(GEN_HEADS, 384, head_dim))
+        k, v = rng.normal(size=(2, GEN_HEADS, 384, head_dim))
+        w_output = rng.normal(size=(GEN_D_MODEL, GEN_D_MODEL)) / np.sqrt(GEN_D_MODEL)
+        inputs = [a.copy() for a in (q, k, v, w_output)]
+        heads = formula_softmax(q @ k.transpose(0, 2, 1)) @ v
+        want = heads.transpose(1, 0, 2).reshape(384, GEN_D_MODEL) @ w_output
+        assert np.max(np.abs(_attend_heads(q, k, v, w_output) - want)) <= 1e-12
+        for a, before in zip((q, k, v, w_output), inputs):
+            assert np.array_equal(a, before)
 
     def test_attend_normalizes_its_scores_in_place(self):
         # one (heads, n, n) score tensor; a second copy for the softmax would
@@ -540,6 +556,27 @@ class TestInPlaceKernels:
         finally:
             tracemalloc.stop()
         assert (peak - baseline) / (GEN_HEADS * n * n * 8) <= 1.5
+
+    def test_attend_peak_stays_below_one_full_score_tensor(self):
+        # the heads take turns in one (n, n) score buffer, so the core never
+        # holds a (heads, n, n) tensor, let alone the softmax's copy of it
+        params = init_dsca_params(4, GEN_D_MODEL, GEN_HEADS)
+        branch = params.video
+        positions = generate_positions()
+        n = len(positions)
+        rng = np.random.default_rng(56)
+        q_tokens, kv_tokens = rng.normal(size=(2, n, GEN_D_MODEL))
+        args = (q_tokens, positions, kv_tokens, positions.copy(), branch.cross_query,
+                branch.cross_key, branch.cross_value, branch.cross_output, GEN_HEADS)
+        _attend(*args)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            _attend(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak - baseline) / (GEN_HEADS * n * n * 8) < 1.0
 
     def test_gelu_matches_pow_formula(self):
         rng = np.random.default_rng(53)
@@ -582,32 +619,76 @@ def count_self_attention(monkeypatch):
     return calls
 
 
+def generate_inputs():
+    """Video tokens and an initial ray state on the generate shapes."""
+    n = len(generate_positions())
+    rng = np.random.default_rng(60)
+    return rng.normal(size=(n, GEN_D_MODEL)), rng.normal(size=n * GEN_D_MODEL)
+
+
+def generate_run(params, video_for_step, x_init):
+    """An 8-step frozen-reference Euler run over the generate shapes: a ray
+    stream from the state at every step, against ``video_for_step()``."""
+    positions = generate_positions()
+    width = GEN_PATCHES * GEN_PATCHES * GEN_D_MODEL
+    spans = [(k * width, (k + 1) * width) for k in range(GEN_SLOTS)]
+    mask = FreezeMask((True,) + (False,) * (GEN_SLOTS - 1))
+
+    def velocity(x, t):
+        ray = TokenSeq(x.reshape(-1, GEN_D_MODEL), positions, Modality.RAY)
+        _, ray_out = dsca_block(video_for_step(), ray, params)
+        return (ray_out.tokens - ray.tokens).ravel()
+
+    return euler_sample(x_init, velocity, 8, mask, spans)
+
+
 class TestHeldStreamReuse:
     def test_euler_run_matches_a_fresh_video_every_step(self, monkeypatch):
         params = init_dsca_params(3, GEN_D_MODEL, GEN_HEADS)
         positions = generate_positions()
-        rng = np.random.default_rng(60)
-        video_tokens = rng.normal(size=(len(positions), GEN_D_MODEL))
+        video_tokens, x_init = generate_inputs()
         held = TokenSeq(video_tokens, positions, Modality.VIDEO)
-        x_init = rng.normal(size=len(positions) * GEN_D_MODEL)
-        width = GEN_PATCHES * GEN_PATCHES * GEN_D_MODEL
-        spans = [(k * width, (k + 1) * width) for k in range(GEN_SLOTS)]
-        mask = FreezeMask((True,) + (False,) * (GEN_SLOTS - 1))
-
-        def sample(video_for_step):
-            def velocity(x, t):
-                ray = TokenSeq(x.reshape(-1, GEN_D_MODEL), positions, Modality.RAY)
-                _, ray_out = dsca_block(video_for_step(), ray, params)
-                return (ray_out.tokens - ray.tokens).ravel()
-            return euler_sample(x_init, velocity, 8, mask, spans)
 
         calls = count_self_attention(monkeypatch)
-        fresh = sample(lambda: TokenSeq(video_tokens, positions, Modality.VIDEO))
+        fresh = generate_run(
+            params, lambda: TokenSeq(video_tokens, positions, Modality.VIDEO), x_init)
         assert calls.count(Modality.VIDEO) == 8
         calls.clear()
-        reused = sample(lambda: held)
+        reused = generate_run(params, lambda: held, x_init)
         assert calls.count(Modality.VIDEO) == 1 and calls.count(Modality.RAY) == 8
         assert np.array_equal(reused, fresh)
+
+    def test_held_video_projects_its_stage2_side_once_per_run(self, monkeypatch):
+        # the held video's stage-1 output is normalized for its queries
+        # (video branch) and its keys and values (ray branch) in the first
+        # step only; a replaced params object starts again
+        params = init_dsca_params(3, GEN_D_MODEL, GEN_HEADS)
+        positions = generate_positions()
+        video_tokens, x_init = generate_inputs()
+        stage1 = self_attention(
+            TokenSeq(video_tokens + params.offset_video, positions, Modality.VIDEO), params
+        ).tokens
+        normalized = []
+        real = attention._layer_norm
+
+        def counting(x, gain):
+            if x.shape == stage1.shape and np.array_equal(x, stage1):
+                normalized.append(gain)
+            return real(x, gain)
+
+        monkeypatch.setattr(attention, "_layer_norm", counting)
+        fresh = generate_run(
+            params, lambda: TokenSeq(video_tokens, positions, Modality.VIDEO), x_init)
+        assert len(normalized) == 2 * 8
+        normalized.clear()
+        held = TokenSeq(video_tokens, positions, Modality.VIDEO)
+        assert np.array_equal(generate_run(params, lambda: held, x_init), fresh)
+        assert len(normalized) == 2
+        assert normalized[0] is params.video.gain_cross and normalized[1] is params.ray.gain_cross
+        normalized.clear()
+        replaced = dataclasses.replace(params)
+        assert np.array_equal(generate_run(replaced, lambda: held, x_init), fresh)
+        assert len(normalized) == 2
 
     def test_held_ray_stream_reuses_its_stage1(self, monkeypatch):
         params = make_params(61)
@@ -674,7 +755,7 @@ class TestHeldStreamReuse:
         params = make_params(72)
         video = make_seq(73, 4, Modality.VIDEO)
         dsca_block(video, make_seq(74, 4, Modality.RAY), params)
-        stage1 = weakref.ref(video._kept_stage1[1])
+        stage1 = weakref.ref(video._kept_state[1]["stage1"])
         # the sequence holds its params weakly
         dropped = dataclasses.replace(params)
         dsca_block(video, make_seq(75, 4, Modality.RAY), dropped)
@@ -692,7 +773,7 @@ class TestHeldStreamReuse:
         ray = make_seq(78, 4, Modality.RAY)
         out, _ = dsca_block(video, ray, params)
         video_back, params_back = pickle.loads(pickle.dumps((video, params)))
-        assert video_back._kept_stage1 is None
+        assert video_back._kept_state is None
         assert not video_back.tokens.flags.writeable
         assert not params_back.offset_ray.flags.writeable
         assert not params_back.ray.ff_in.flags.writeable

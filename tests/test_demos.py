@@ -1,6 +1,7 @@
 """Every script in demos/ runs to completion and prints; the Plucker demo
-slides its origins along the pixel rays; README's library quick start runs
-and recovers the trajectory as its comments state."""
+slides its origins along the pixel rays; the attention demo's held video
+stream is computed once per run and matches a fresh one; README's library
+quick start runs and recovers the trajectory as its comments state."""
 
 import os
 import re
@@ -11,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+
+from raxelkit import attention
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -37,6 +40,17 @@ def test_representations_slides_origins_along_the_pixel_rays(capsys):
     capsys.readouterr()
     offsets = ns["origins"] - ns["pose"].translation
     assert np.abs(np.cross(offsets, ns["d"])).max() < 1e-12
+
+
+def test_attention_block_holds_the_video_stream(capsys, monkeypatch):
+    # the demo counts by rebinding these names; put them back afterwards
+    for name in ("self_attention", "_queries", "_keys_values"):
+        monkeypatch.setattr(attention, name, getattr(attention, name))
+    ns = runpy.run_path(str(ROOT / "demos" / "attention_block.py"))
+    capsys.readouterr()
+    assert np.array_equal(ns["held"], ns["fresh"])
+    assert ns["fresh_ran"] == {"stage 1": 8, "stage 2": 16}
+    assert ns["held_ran"] == {"stage 1": 1, "stage 2": 2}
 
 
 def test_readme_library_quick_start_runs_as_documented(capsys):

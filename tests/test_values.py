@@ -11,17 +11,26 @@ import pickle
 import numpy as np
 import pytest
 
+from raxelkit.attention import (
+    BranchParams,
+    DscaBlockParams,
+    Modality,
+    TokenSeq,
+    dsca_block,
+    init_dsca_params,
+)
 from raxelkit.decode import decode_trajectory
 from raxelkit.evaluation import (
     PerturbationKind,
     PerturbationSpec,
+    PoseErrorReport,
     TrajectoryKind,
     generate_trajectory,
     perturb,
     pose_errors,
 )
 from raxelkit.flow import FlowBatch
-from raxelkit.geometry import Intrinsics
+from raxelkit.geometry import Intrinsics, Pose
 from raxelkit.io import load_raxel, save_raxel
 from raxelkit.rays import RayGrid, encode_plucker, encode_raxel, encode_trajectory_raxels
 
@@ -135,3 +144,60 @@ def test_fresh_arrays_reach_ray_grid_uncopied(handed, tmp_path):
         grid = produce()
         assert address(grid.data) == handed[-1], name
         assert not grid.data.flags.writeable, name
+
+
+def stored_arrays(value):
+    """Every array a value type stores, its nested value types' included."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from stored_arrays(getattr(value, f.name))
+    elif isinstance(value, tuple):
+        for item in value:
+            yield from stored_arrays(item)
+
+
+def branch_from_writeable_arrays(d):
+    return BranchParams(*(np.eye(d) for _ in range(10)), np.ones(d), np.ones(d), np.ones(d))
+
+
+def built_from_writeable_input():
+    d = 6
+    return {
+        "Pose": Pose(np.eye(3), np.zeros(3)),
+        "RayGrid": RayGrid(np.zeros((4, 5, 3))),
+        "PoseErrorReport": PoseErrorReport(np.zeros(4), np.ones(4), 0.0, 1.0),
+        "FlowBatch": FlowBatch(x0=np.zeros(3), x1=np.ones(3), t=0.5),
+        "TokenSeq": TokenSeq(np.zeros((2, d)), np.array([[0, 0, 0], [1, 0, 0]]), Modality.RAY),
+        "BranchParams": branch_from_writeable_arrays(d),
+        "DscaBlockParams": DscaBlockParams(
+            branch_from_writeable_arrays(d), branch_from_writeable_arrays(d),
+            np.zeros(d), np.zeros(d), head_count=1,
+        ),
+    }
+
+
+def produced_by_the_library():
+    params = init_dsca_params(0, 12, 2, d_ff=24)
+    positions = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0]])
+    video = TokenSeq(np.ones((3, 12)), positions, Modality.VIDEO)
+    ray = TokenSeq(np.zeros((3, 12)), positions, Modality.RAY)
+    return {**values(), "DscaBlockParams": params, "dsca_block": dsca_block(video, ray, params)}
+
+
+@pytest.mark.parametrize("name", list(built_from_writeable_input()))
+def test_a_stored_array_cannot_be_made_writeable_again(name):
+    # the kept attention state trusts that a value's arrays never change
+    arrays = list(stored_arrays(built_from_writeable_input()[name]))
+    assert arrays
+    for arr in arrays:
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
+
+
+@pytest.mark.parametrize("name", list(produced_by_the_library()))
+def test_arrays_the_library_makes_cannot_be_made_writeable_again(name):
+    for arr in stored_arrays(produced_by_the_library()[name]):
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
