@@ -10,6 +10,15 @@ parameters. One forward pass runs in two stages plus a tail:
    result);
 3. each stream runs its own feed-forward.
 
+``dsca_block`` validates its streams and runs both stage 1s at the call;
+each output's stage 2 and feed-forward run when that output's tokens are
+first read, so a sampler that holds one stream and reads only the other's
+output pays for one cross direction per step. The deferred work holds
+only the two frozen stage-1 outputs and the parameter set, so the tokens
+are the same bits whenever they are read. A stage-2 error (a non-finite
+output, say) raises at that first read, and an unread output keeps both
+stage-1 outputs alive.
+
 Every sublayer is pre-normalized (layer norm with a learnable gain, no
 bias) and wrapped in a residual connection. Rotary position encoding is
 applied to queries and keys per head, with the head dimension split into
@@ -28,10 +37,10 @@ sums divide the (n_q, head_dim) result rather than the weights. Both
 differ from the plain formulas by a few ulp.
 
 Sequences and parameter sets hold read-only arrays by ``geometry``'s
-array rule: a writeable input (or a read-only view of writeable memory)
-is copied once and frozen, and the stored array is a view that cannot be
-made writeable again; sublayers pass their fresh tokens frozen, so they
-are kept. That makes anything computed from one sequence and one
+array rule: any input but memory the library froze is copied once and
+frozen, and the stored array is a view that cannot be made writeable
+again; sublayers pass their fresh tokens frozen, so they are kept. That
+makes anything computed from one sequence and one
 parameter set a function of the two objects alone, so each sequence has
 one kept-state slot for one parameter set: ``dsca_block`` keeps a stream's
 stage 1 (offset add plus self-attention) there, and ``cross_attention``
@@ -70,7 +79,8 @@ class Modality(enum.Enum):
 class TokenSeq(_PickledAsConstructorCall):
     """Token features with integer (temporal, row, column) positions.
 
-    Both arrays are stored read-only; writeable inputs are copied."""
+    Both arrays are stored read-only; inputs the library did not freeze are
+    copied."""
 
     tokens: np.ndarray
     positions: np.ndarray
@@ -100,9 +110,23 @@ class TokenSeq(_PickledAsConstructorCall):
         object.__setattr__(self, "positions", _read_only(pos.astype(np.int64, copy=False)))
         object.__setattr__(self, "_kept_state", None)
 
+    def __getattr__(self, name):
+        # only a dsca_block output lacks its tokens, until they are first
+        # read. They are stored before the inputs are dropped, and the first
+        # array stored stays, so readers in several threads get one array
+        state = self.__dict__
+        if name == "tokens":
+            inputs = state.get("_stage2_inputs")
+            if inputs is not None:
+                state.setdefault("tokens", _stage2(*inputs).tokens)
+                state.pop("_stage2_inputs", None)
+            if "tokens" in state:
+                return state["tokens"]
+        raise AttributeError(f"'TokenSeq' object has no attribute '{name}'")
+
     @property
     def count(self) -> int:
-        return self.tokens.shape[0]
+        return self.positions.shape[0]
 
     @property
     def d_model(self) -> int:
@@ -113,7 +137,8 @@ class TokenSeq(_PickledAsConstructorCall):
 class BranchParams(_PickledAsConstructorCall):
     """Weights of one modality branch. All linear maps are bias-free.
 
-    Every array is stored read-only; writeable inputs are copied."""
+    Every array is stored read-only; inputs the library did not freeze are
+    copied."""
 
     self_query: np.ndarray
     self_key: np.ndarray
@@ -468,14 +493,37 @@ def _stage1(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:
     return _kept(seq, params, "stage1", compute)
 
 
+def _stage2(seq_1: TokenSeq, peer_1: TokenSeq, params: DscaBlockParams) -> TokenSeq:
+    """Stage 2 and the tail of the block for one stream: cross-attention
+    from its stage-1 output over the peer's, then its feed-forward."""
+    return _feed_forward(cross_attention(seq_1, peer_1, params),
+                         params.branch_for(seq_1.modality))
+
+
+def _unread_stage2(seq_1: TokenSeq, peer_1: TokenSeq, params: DscaBlockParams) -> TokenSeq:
+    """A ``TokenSeq`` whose tokens are ``_stage2(seq_1, peer_1, params)``,
+    computed when first read; its positions and modality are ``seq_1``'s."""
+    out = object.__new__(TokenSeq)
+    out.__dict__.update(positions=seq_1.positions, modality=seq_1.modality, _kept_state=None,
+                        _stage2_inputs=(seq_1, peer_1, params))
+    return out
+
+
 def dsca_block(
     video: TokenSeq, ray: TokenSeq, params: DscaBlockParams
 ) -> tuple[TokenSeq, TokenSeq]:
     """One full block pass over the two modality streams.
 
     Adds the per-modality offsets, runs self-attention within each stream,
-    then both cross directions in parallel from the stage-1 state, then the
-    per-branch feed-forward. Returns (video_out, ray_out).
+    then both cross directions from the stage-1 state, then the per-branch
+    feed-forward. Returns (video_out, ray_out).
+
+    The call validates the streams and runs both stage 1s, so input errors
+    raise here. Each output's stage 2 (its cross-attention and
+    feed-forward) runs when its ``tokens`` are first read, to the same
+    bits whenever that is; a stage-2 error (non-finite tokens, say) raises
+    at that read, and until then the output keeps both stage-1 outputs
+    alive. Positions and modality are set at once.
 
     A stream passed again with the same params object (a held stream
     across sampler steps) reuses its stage 1 from the earlier call, and
@@ -486,10 +534,5 @@ def dsca_block(
         raise ValueError("dsca_block expects (video, ray) sequences in that order")
     video_1 = _stage1(video, params)
     ray_1 = _stage1(ray, params)
-
-    video_2 = cross_attention(video_1, ray_1, params)
-    ray_2 = cross_attention(ray_1, video_1, params)
-
-    video_out = _feed_forward(video_2, params.video)
-    ray_out = _feed_forward(ray_2, params.ray)
-    return video_out, ray_out
+    return (_unread_stage2(video_1, ray_1, params),
+            _unread_stage2(ray_1, video_1, params))

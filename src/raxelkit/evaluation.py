@@ -49,7 +49,7 @@ class PoseErrorReport(_PickledAsConstructorCall):
 
     Means are taken over the non-reference frames only (the reference is
     identity by construction on both sides). The per-frame arrays are
-    stored read-only; writeable memory is copied.
+    stored read-only; memory the library did not freeze is copied.
     """
 
     rotation_error: np.ndarray

@@ -14,7 +14,7 @@ re-pinned to their initial values after every step, which is how a subset
 of tokens is held at its data value while the rest are denoised.
 
 ``FlowBatch`` stores its endpoints by ``geometry``'s array rule:
-read-only, with the caller's writeable arrays copied.
+read-only, with memory the library did not freeze copied.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ def _as_state(x, name: str) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class FlowBatch(_PickledAsConstructorCall):
     """Endpoint pair (x0 noise, x1 data) and a time t on the path. The
-    endpoints are stored read-only; writeable memory is copied."""
+    endpoints are stored read-only; memory the library did not freeze is
+    copied."""
 
     x0: np.ndarray
     x1: np.ndarray

@@ -5,19 +5,21 @@ Poses are camera-to-world throughout; world-to-camera is derived via
 are immutable after construction and every operation is a pure function.
 
 It also holds the package's one rule for every value type that holds
-arrays: ``_read_only`` keeps an array when nothing beneath it can be
-written (read-only views down to owned memory or an immutable ``bytes``
-buffer) and otherwise stores a frozen copy; ``_freeze`` marks a fresh
-array so it is kept uncopied; ``_PickledAsConstructorCall`` unpickles and
-deep-copies through the constructor, which applies the rule again. Both
-store a view over the frozen memory, never the array that owns it, so
-setting a stored array's ``writeable`` flag raises rather than reopening
-it to writes.
+arrays: ``_freeze`` marks a fresh array read-only and records the memory
+it froze; ``_read_only`` keeps an array uncopied only when it is a
+read-only view down to memory ``_freeze`` froze, and otherwise stores a
+frozen copy, since a caller that owns read-only memory can make it
+writeable again; ``_PickledAsConstructorCall`` unpickles and deep-copies
+through the constructor, which applies the rule again. Both store a view
+over the frozen memory, never the array that owns it, so setting a stored
+array's ``writeable`` flag raises rather than reopening it to writes.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -27,14 +29,21 @@ ORTHONORMALITY_DRIFT = 1e-9
 MAX_POSE_DRIFT = 1e-6
 
 
+# the arrays _freeze froze, by id. A weak reference's callback drops the
+# entry when its array dies, so an id found here names a live frozen array
+_FROZEN: dict[int, weakref.ref] = {}
+
+
 def _freeze(fresh: np.ndarray) -> np.ndarray:
     """Mark an array that nothing else holds, and the fresh arrays it
     views, read-only; returns a view over that frozen memory, whose flag
     numpy then refuses to set back to writeable."""
     arr = fresh
-    while isinstance(arr, np.ndarray):
-        arr.flags.writeable = False
+    arr.flags.writeable = False
+    while isinstance(arr.base, np.ndarray):
         arr = arr.base
+        arr.flags.writeable = False
+    _FROZEN[id(arr)] = weakref.ref(arr, partial(_FROZEN.pop, id(arr)))
     return _pinned(fresh)
 
 
@@ -46,13 +55,14 @@ def _pinned(arr: np.ndarray) -> np.ndarray:
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    """``arr`` (as a view) when neither it nor any array it views can be
-    written and the memory beneath is its own or an immutable ``bytes``
-    buffer, otherwise a frozen copy."""
+    """``arr`` (as a view) when it is a read-only view down to memory that
+    ``_freeze`` froze, otherwise a frozen copy."""
     base = arr
     while isinstance(base, np.ndarray) and not base.flags.writeable:
+        if id(base) in _FROZEN:
+            return _pinned(arr)
         base = base.base
-    return _pinned(arr) if base is None or isinstance(base, bytes) else _freeze(arr.copy())
+    return _freeze(arr.copy())
 
 
 class _PickledAsConstructorCall:

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import RaxelFileError, TrajectoryParseError
-from .geometry import CameraFrame, Intrinsics, Pose, Trajectory
+from .geometry import CameraFrame, Intrinsics, Pose, Trajectory, _freeze
 from .rays import GridKind, RayGrid
 
 TRAJ_HEADER_TAG = "raxelkit-traj"
@@ -210,6 +210,6 @@ def load_raxel(path: str, kind: GridKind = GridKind.RAXEL) -> tuple[RayGrid, int
         payload = fh.read()
     if len(payload) != h * w * kind.channels * 8:
         raise RaxelFileError(f"{path}: changed while it was being read")
-    # a read-only view of the immutable payload, so RayGrid keeps it uncopied
-    data = np.frombuffer(payload, dtype="<f8").reshape(h, w, kind.channels)
+    # a frozen view of the payload, so RayGrid keeps it uncopied
+    data = _freeze(np.frombuffer(payload, dtype="<f8").reshape(h, w, kind.channels))
     return RayGrid(data, kind), frame_index

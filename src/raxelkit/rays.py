@@ -13,8 +13,8 @@ rays ``d_cam`` of ``ray_grid`` (which caches one grid). Each is a
   at every pixel.
 
 ``RayGrid`` stores its data by ``geometry``'s array rule; the encoders,
-``evaluation.perturb`` and ``io.load_raxel`` hand it frozen or
-``bytes``-backed arrays, which it keeps uncopied.
+``evaluation.perturb`` and ``io.load_raxel`` hand it frozen arrays, which
+it keeps uncopied.
 
 ``encode_trajectory_raxels`` returns a trajectory's raxel images as a
 ``TrajectoryRaxels`` sequence, which encodes frame k each time element k
@@ -63,8 +63,8 @@ class GridKind(enum.Enum):
 @dataclass(frozen=True, eq=False)
 class RayGrid(_PickledAsConstructorCall):
     """Immutable half-resolution grid of ray vectors; ``kind`` fixes the
-    layout and the channel count. The data is stored read-only; writeable
-    memory is copied."""
+    layout and the channel count. The data is stored read-only; memory the
+    library did not freeze is copied."""
 
     data: np.ndarray
     kind: GridKind = GridKind.RAXEL

@@ -3,6 +3,8 @@
 import dataclasses
 import gc
 import pickle
+import sys
+import threading
 import tracemalloc
 import weakref
 
@@ -626,9 +628,10 @@ def generate_inputs():
     return rng.normal(size=(n, GEN_D_MODEL)), rng.normal(size=n * GEN_D_MODEL)
 
 
-def generate_run(params, video_for_step, x_init):
+def generate_run(params, video_for_step, x_init, read_video=False):
     """An 8-step frozen-reference Euler run over the generate shapes: a ray
-    stream from the state at every step, against ``video_for_step()``."""
+    stream from the state at every step, against ``video_for_step()``. The
+    velocity discards ``video_out`` unread unless ``read_video``."""
     positions = generate_positions()
     width = GEN_PATCHES * GEN_PATCHES * GEN_D_MODEL
     spans = [(k * width, (k + 1) * width) for k in range(GEN_SLOTS)]
@@ -636,10 +639,25 @@ def generate_run(params, video_for_step, x_init):
 
     def velocity(x, t):
         ray = TokenSeq(x.reshape(-1, GEN_D_MODEL), positions, Modality.RAY)
-        _, ray_out = dsca_block(video_for_step(), ray, params)
+        video_out, ray_out = dsca_block(video_for_step(), ray, params)
+        if read_video:
+            video_out.tokens
         return (ray_out.tokens - ray.tokens).ravel()
 
     return euler_sample(x_init, velocity, 8, mask, spans)
+
+
+def count_cross_attention(monkeypatch):
+    """The query modality of every cross_attention call."""
+    calls = []
+    real = attention.cross_attention
+
+    def counting(queries_from, keys_values_from, params):
+        calls.append(queries_from.modality)
+        return real(queries_from, keys_values_from, params)
+
+    monkeypatch.setattr(attention, "cross_attention", counting)
+    return calls
 
 
 class TestHeldStreamReuse:
@@ -659,9 +677,19 @@ class TestHeldStreamReuse:
         assert np.array_equal(reused, fresh)
 
     def test_held_video_projects_its_stage2_side_once_per_run(self, monkeypatch):
-        # the held video's stage-1 output is normalized for its queries
-        # (video branch) and its keys and values (ray branch) in the first
-        # step only; a replaced params object starts again
+        self.check_held_video_projections(monkeypatch, read_video=False)
+
+    def test_held_video_projects_both_stage2_sides_once_per_run_when_video_out_is_read(
+            self, monkeypatch):
+        self.check_held_video_projections(monkeypatch, read_video=True)
+
+    @staticmethod
+    def check_held_video_projections(monkeypatch, read_video):
+        # the held video's stage-1 output is normalized for its keys and
+        # values (ray branch) and, when video_out is read, for its queries
+        # (video branch), in the first step only; a replaced params object
+        # starts again
+        sides = 2 if read_video else 1
         params = init_dsca_params(3, GEN_D_MODEL, GEN_HEADS)
         positions = generate_positions()
         video_tokens, x_init = generate_inputs()
@@ -678,17 +706,18 @@ class TestHeldStreamReuse:
 
         monkeypatch.setattr(attention, "_layer_norm", counting)
         fresh = generate_run(
-            params, lambda: TokenSeq(video_tokens, positions, Modality.VIDEO), x_init)
-        assert len(normalized) == 2 * 8
+            params, lambda: TokenSeq(video_tokens, positions, Modality.VIDEO), x_init, read_video)
+        assert len(normalized) == sides * 8
         normalized.clear()
         held = TokenSeq(video_tokens, positions, Modality.VIDEO)
-        assert np.array_equal(generate_run(params, lambda: held, x_init), fresh)
-        assert len(normalized) == 2
-        assert normalized[0] is params.video.gain_cross and normalized[1] is params.ray.gain_cross
+        assert np.array_equal(generate_run(params, lambda: held, x_init, read_video), fresh)
+        gains = [params.video.gain_cross, params.ray.gain_cross][2 - sides:]
+        assert len(normalized) == sides
+        assert all(got is want for got, want in zip(normalized, gains))
         normalized.clear()
         replaced = dataclasses.replace(params)
-        assert np.array_equal(generate_run(replaced, lambda: held, x_init), fresh)
-        assert len(normalized) == 2
+        assert np.array_equal(generate_run(replaced, lambda: held, x_init, read_video), fresh)
+        assert len(normalized) == sides
 
     def test_held_ray_stream_reuses_its_stage1(self, monkeypatch):
         params = make_params(61)
@@ -779,3 +808,135 @@ class TestHeldStreamReuse:
         assert not params_back.ray.ff_in.flags.writeable
         again, _ = dsca_block(video_back, ray, params_back)
         assert np.array_equal(again.tokens, out.tokens)
+
+
+class TestStage2OnRead:
+    """dsca_block runs each output's cross-attention and feed-forward when
+    that output's tokens are first read, to the same bits."""
+
+    def test_generate_run_cross_attends_once_per_step_for_an_unread_video_out(self, monkeypatch):
+        params = init_dsca_params(3, GEN_D_MODEL, GEN_HEADS)
+        video_tokens, x_init = generate_inputs()
+        positions = generate_positions()
+        held = TokenSeq(video_tokens, positions, Modality.VIDEO)
+        calls = count_cross_attention(monkeypatch)
+        unread = generate_run(params, lambda: held, x_init)
+        assert calls == [Modality.RAY] * 8
+        calls.clear()
+        fresh = generate_run(params, lambda: TokenSeq(video_tokens, positions, Modality.VIDEO),
+                             x_init, read_video=True)
+        assert calls == [Modality.VIDEO, Modality.RAY] * 8
+        assert np.array_equal(unread, fresh)
+
+    def test_held_ray_run_cross_attends_once_per_step_for_an_unread_ray_out(self, monkeypatch):
+        # camera-controlled generation: the trajectory is given, the video sampled
+        params = init_dsca_params(4, GEN_D_MODEL, GEN_HEADS)
+        positions = generate_positions()
+        ray_tokens, x_init = generate_inputs()
+        held = TokenSeq(ray_tokens, positions, Modality.RAY)
+        calls = count_cross_attention(monkeypatch)
+
+        def run(read_ray):
+            def velocity(x, t):
+                video = TokenSeq(x.reshape(-1, GEN_D_MODEL), positions, Modality.VIDEO)
+                video_out, ray_out = dsca_block(video, held, params)
+                if read_ray:
+                    ray_out.tokens
+                return (video_out.tokens - video.tokens).ravel()
+
+            return euler_sample(x_init, velocity, 8)
+
+        unread = run(read_ray=False)
+        assert calls == [Modality.VIDEO] * 8
+        calls.clear()
+        assert np.array_equal(run(read_ray=True), unread)
+        assert calls == [Modality.RAY, Modality.VIDEO] * 8
+
+    def test_video_out_is_the_eager_result_whenever_it_is_read(self, monkeypatch):
+        params = make_params(80)
+        video = make_seq(81, 5, Modality.VIDEO)
+        rays = [make_seq(seed, 4, Modality.RAY) for seed in (82, 83, 84)]
+
+        def stage1(seq):
+            shifted = TokenSeq(seq.tokens + params.offset_for(seq.modality), seq.positions,
+                               seq.modality)
+            return self_attention(shifted, params)
+
+        # the eager block: stage 2 straight after both stage 1s
+        eager = [attention._feed_forward(cross_attention(stage1(video), stage1(ray), params),
+                                         params.video).tokens for ray in rays]
+        calls = count_cross_attention(monkeypatch)
+        outs = [dsca_block(video, ray, params)[0] for ray in rays]
+        assert calls == []
+        assert all(out.positions is outs[0].positions and out.modality is Modality.VIDEO
+                   for out in outs)
+        # read after later calls, and read before the next call
+        assert np.array_equal(outs[0].tokens, eager[0])
+        read_at_once = dsca_block(video, rays[1], params)[0].tokens
+        dsca_block(video, rays[2], params)
+        assert np.array_equal(read_at_once, eager[1])
+        for out, want in zip(outs, eager):
+            assert np.array_equal(out.tokens, want)
+            assert out.tokens is out.tokens and not out.tokens.flags.writeable
+        assert calls == [Modality.VIDEO] * 4
+
+    def test_an_unread_output_holds_both_stage1_outputs_until_dropped(self):
+        params = make_params(85)
+        video, ray = make_seq(86, 4, Modality.VIDEO), make_seq(87, 4, Modality.RAY)
+        video_out, ray_out = dsca_block(video, ray, params)
+        stage1 = [weakref.ref(seq._kept_state[1]["stage1"]) for seq in (video, ray)]
+        del video, ray
+        gc.collect()
+        assert all(ref() is not None for ref in stage1)
+        del video_out
+        gc.collect()
+        assert all(ref() is not None for ref in stage1)
+        del ray_out
+        gc.collect()
+        assert all(ref() is None for ref in stage1)
+
+    def test_a_read_output_lets_go_of_the_stage1_outputs(self):
+        params = make_params(88)
+        video, ray = make_seq(89, 4, Modality.VIDEO), make_seq(90, 4, Modality.RAY)
+        outs = dsca_block(video, ray, params)
+        stage1 = [weakref.ref(seq._kept_state[1]["stage1"]) for seq in (video, ray)]
+        for out in outs:
+            out.tokens
+        del video, ray
+        gc.collect()
+        assert all(ref() is None for ref in stage1)
+
+    def test_a_stage2_error_raises_when_the_output_is_first_read(self):
+        params = make_params(91)
+        # cross-attention output past ~1e154, which the feed-forward's norm refuses
+        loud = dataclasses.replace(params, video=dataclasses.replace(
+            params.video, cross_output=np.full_like(params.video.cross_output, 1e200)))
+        video_out, ray_out = dsca_block(
+            make_seq(92, 4, Modality.VIDEO), make_seq(93, 4, Modality.RAY), loud)
+        assert video_out.count == 4 and video_out.modality is Modality.VIDEO
+        assert np.all(np.isfinite(ray_out.tokens))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="too large to layer-normalize"):
+                video_out.tokens
+
+    def test_threads_reading_one_output_get_one_array(self):
+        params = make_params(94)
+        video, ray = make_seq(95, 6, Modality.VIDEO), make_seq(96, 6, Modality.RAY)
+        want = dsca_block(video, ray, params)[1].tokens
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                _, ray_out = dsca_block(video, ray, params)
+                got = []
+                readers = [threading.Thread(target=lambda: got.append(ray_out.tokens))
+                           for _ in range(4)]
+                for reader in readers:
+                    reader.start()
+                for reader in readers:
+                    reader.join(timeout=30)
+                assert not any(reader.is_alive() for reader in readers)
+                assert len(got) == 4 and all(tokens is got[0] for tokens in got)
+                assert np.array_equal(got[0], want)
+        finally:
+            sys.setswitchinterval(switch)

@@ -49,8 +49,11 @@ def test_attention_block_holds_the_video_stream(capsys, monkeypatch):
     ns = runpy.run_path(str(ROOT / "demos" / "attention_block.py"))
     capsys.readouterr()
     assert np.array_equal(ns["held"], ns["fresh"])
-    assert ns["fresh_ran"] == {"stage 1": 8, "stage 2": 16}
-    assert ns["held_ran"] == {"stage 1": 1, "stage 2": 2}
+    # video_out is discarded unread: its stage 2 never runs
+    assert ns["fresh_ran"] == {"stage 1": 8, "stage 2": 8}
+    assert ns["held_ran"] == {"stage 1": 1, "stage 2": 1}
+    assert ns["fresh_read_ran"] == {"stage 1": 8, "stage 2": 16}
+    assert ns["held_read_ran"] == {"stage 1": 1, "stage 2": 2}
 
 
 def test_readme_library_quick_start_runs_as_documented(capsys):

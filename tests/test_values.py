@@ -39,15 +39,27 @@ ORBIT = generate_trajectory(TrajectoryKind.ORBIT, 5, INTR)
 ARC = generate_trajectory(TrajectoryKind.ARC_LEFT, 5, INTR)
 
 
+def block_outputs():
+    """``dsca_block``'s (video_out, ray_out), neither read yet."""
+    params = init_dsca_params(0, 12, 2, d_ff=24)
+    positions = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0]])
+    video = TokenSeq(np.ones((3, 12)), positions, Modality.VIDEO)
+    ray = TokenSeq(np.zeros((3, 12)), positions, Modality.RAY)
+    return dsca_block(video, ray, params)
+
+
 def values():
     decoded, _ = decode_trajectory(encode_trajectory_raxels(ORBIT), 0, INTR.width, INTR.height)
     rng = np.random.default_rng(3)
+    video_out, ray_out = block_outputs()
     return {
         "Trajectory": ORBIT,
         "DecodedFrame": decoded[2],
         "RayGrid": encode_plucker(ORBIT.frames[1], ORBIT.frames[1].pose),
         "PoseErrorReport": pose_errors(ARC, ORBIT),
         "FlowBatch": FlowBatch(x0=rng.normal(size=6), x1=rng.normal(size=6), t=0.25),
+        "unread video_out": video_out,
+        "unread ray_out": ray_out,
     }
 
 
@@ -55,6 +67,7 @@ COPIERS = {
     "pickle": lambda v: pickle.loads(pickle.dumps(v)),
     "pickle5": lambda v: pickle.loads(pickle.dumps(v, protocol=5)),
     "deepcopy": copy.deepcopy,
+    "replace": dataclasses.replace,
 }
 
 
@@ -76,10 +89,18 @@ def assert_same_value(got, want):
 
 @pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
 @pytest.mark.parametrize("name", ["Trajectory", "DecodedFrame", "RayGrid", "PoseErrorReport",
-                                  "FlowBatch"])
+                                  "FlowBatch", "unread video_out", "unread ray_out"])
 def test_round_trip_gives_an_equal_value_with_read_only_arrays(name, copier):
     value = values()[name]
     assert_same_value(copier(value), value)
+
+
+@pytest.mark.parametrize("copier", COPIERS.values(), ids=COPIERS.keys())
+def test_an_unread_block_output_copies_as_the_eager_tokens(copier):
+    eager = [out.tokens for out in block_outputs()]
+    for got, want in zip([copier(out) for out in block_outputs()], eager):
+        assert type(got) is TokenSeq
+        assert_same_value(got.tokens, want)
 
 
 def test_ray_grid_copies_a_read_only_view_of_writeable_memory():
@@ -180,10 +201,7 @@ def built_from_writeable_input():
 
 def produced_by_the_library():
     params = init_dsca_params(0, 12, 2, d_ff=24)
-    positions = np.array([[0, 0, 0], [0, 1, 0], [1, 0, 0]])
-    video = TokenSeq(np.ones((3, 12)), positions, Modality.VIDEO)
-    ray = TokenSeq(np.zeros((3, 12)), positions, Modality.RAY)
-    return {**values(), "DscaBlockParams": params, "dsca_block": dsca_block(video, ray, params)}
+    return {**values(), "DscaBlockParams": params, "dsca_block": block_outputs()}
 
 
 @pytest.mark.parametrize("name", list(built_from_writeable_input()))
@@ -201,3 +219,25 @@ def test_arrays_the_library_makes_cannot_be_made_writeable_again(name):
     for arr in stored_arrays(produced_by_the_library()[name]):
         with pytest.raises(ValueError):
             arr.flags.writeable = True
+
+
+def stored_from_read_only(name, arr):
+    """The array a value type stores for the read-only 3x3 ``arr``."""
+    if name == "Pose":
+        return Pose(arr, np.zeros(3)).rotation
+    if name == "TokenSeq":
+        return TokenSeq(arr, np.array([[0, 0, 0], [1, 0, 0], [2, 0, 0]]), Modality.RAY).tokens
+    return BranchParams(arr, *(np.eye(3) for _ in range(9)), *(np.ones(3) for _ in range(3))
+                        ).self_query
+
+
+@pytest.mark.parametrize("view", [False, True], ids=["owner", "view"])
+@pytest.mark.parametrize("name", ["Pose", "TokenSeq", "BranchParams"])
+def test_a_callers_read_only_array_is_copied(name, view):
+    # the caller owns the memory, so it can make it writeable again
+    owner = np.eye(3)
+    owner.flags.writeable = False
+    stored = stored_from_read_only(name, owner.view() if view else owner)
+    owner.flags.writeable = True
+    owner[0, 0] = 5.0
+    assert np.array_equal(stored, np.eye(3))
