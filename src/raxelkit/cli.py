@@ -330,25 +330,34 @@ def cmd_bench(args) -> None:
     rows = _existing_rows(args.out)
     have = _resumable_cells(args.out, rows, settings)
     intrinsics = _default_intrinsics(args.width, args.height, args.fov)
-    for kind_name in args.kinds:
-        trajectory_by_kind = generate_trajectory(
-            TrajectoryKind(kind_name),
-            args.frames,
-            intrinsics,
-            scale=args.radius,
-        )
-        for magnitude in args.magnitudes:
-            for seed in range(args.seeds):
-                key = _bench_cell_key(kind_name, args.frames, magnitude, seed)
-                if key in have:
-                    continue
-                report, mrra30, residual = _cycle_report(
-                    trajectory_by_kind, args.noise_kind, magnitude, seed
-                )
-                rows.append(_csv_row(
-                    kind_name, args.frames, magnitude, seed, report, mrra30, residual, settings
-                ))
-                have.add(key)
+    kept = len(rows)
+    try:
+        for kind_name in args.kinds:
+            trajectory_by_kind = generate_trajectory(
+                TrajectoryKind(kind_name),
+                args.frames,
+                intrinsics,
+                scale=args.radius,
+            )
+            for magnitude in args.magnitudes:
+                for seed in range(args.seeds):
+                    key = _bench_cell_key(kind_name, args.frames, magnitude, seed)
+                    if key in have:
+                        continue
+                    report, mrra30, residual = _cycle_report(
+                        trajectory_by_kind, args.noise_kind, magnitude, seed
+                    )
+                    rows.append(_csv_row(
+                        kind_name, args.frames, magnitude, seed, report, mrra30, residual,
+                        settings,
+                    ))
+                    have.add(key)
+    except BaseException:
+        # a failed or interrupted cell keeps the cells computed before it,
+        # so a resumed run starts at the failed one
+        if len(rows) > kept:
+            _write_csv(args.out, rows)
+        raise
     _write_csv(args.out, rows)
 
 

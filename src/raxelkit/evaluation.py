@@ -5,7 +5,10 @@ The harness measures how well the closed-form decoders survive controlled
 damage to the raxel images: additive Gaussian noise, uniform quantization
 (a stand-in for storing raxels at reduced precision), and pixel dropout.
 Clean inputs round-trip to within floating-point error; the perturbed
-error curves are what the benchmark sweep records.
+error curves are what the benchmark sweep records. The re-encode residual,
+the distance between the decoded frames' raxel images and the clean ones,
+is computed in closed form from the two poses and the separable ray grids,
+without building either image.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .geometry import (
     canonicalize,
     rotation_angle,
 )
-from .rays import GridKind, RayGrid, TrajectoryRaxels, _encode, ray_grid
+from .rays import RayGrid, TrajectoryRaxels, _ray_factors
 
 Y_AXIS = np.array([0.0, 1.0, 0.0])
 X_AXIS = np.array([1.0, 0.0, 0.0])
@@ -286,10 +289,11 @@ def cycle_consistency_run(
     Each frame's perturbation seed is derived from ``spec.seed``, so the
     run is deterministic regardless of evaluation order. The run holds one
     frame at a time: each damaged grid is encoded and perturbed as decoding
-    reads it, and each clean grid is encoded again for its residual, from
-    the one ray grid the run holds. Returns the pose error report against
-    the ground truth, mRRA at 30 degrees, and the mean per-pixel distance
-    between the re-encoded and the clean raxel images. Decode failures are
+    reads it. Returns the pose error report against the ground truth, mRRA
+    at 30 degrees, and the mean per-pixel distance between the raxel images
+    of the decoded frames (pose and intrinsics) and the clean ones, which
+    is computed in closed form from the poses and the separable ray grids,
+    without encoding either image again. Decode failures are
     raised with their frame index; pixels that the perturbation made
     non-finite, or too large to register, are reported first and name it,
     unless the clean grid is already too large, which names the trajectory.
@@ -300,8 +304,6 @@ def cycle_consistency_run(
             raise ValueError("cycle consistency requires shared intrinsics")
 
     canonical = canonicalize(ground_truth, ground_truth.reference_index)
-    # held here: the re-encodes at decoded intrinsics evict it from the cache
-    dirs = ray_grid(intr)
     # the clean grids are finite, so non-finite pixels come from the
     # perturbation; they explain any other failure, so they go first
     damage = f"the {spec.kind.value} perturbation of magnitude {spec.magnitude:g}"
@@ -334,19 +336,43 @@ def cycle_consistency_run(
     mrra30 = mrra(predicted, canonical, tau=30.0)
 
     # the predicted poses are already canonical
-    residual = float(
-        np.mean(
-            [
-                _reencode_distance(frame, _encode(dirs, truth.pose, GridKind.RAXEL))
-                for frame, truth in zip(predicted.frames, canonical.frames)
-            ]
-        )
-    )
-    return report, mrra30, residual
+    return report, mrra30, _reencode_residual(predicted, canonical)
 
 
-def _reencode_distance(frame: CameraFrame, clean: np.ndarray) -> float:
-    """Mean per-pixel distance between ``frame``'s raxel image and ``clean``."""
-    diff = _encode(ray_grid(frame.intrinsics), frame.pose, GridKind.RAXEL)
-    diff -= clean
-    return float(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).mean())
+def _reencode_residual(predicted: Trajectory, truth: Trajectory) -> float:
+    """Mean over frames of the mean per-pixel distance between each
+    predicted frame's raxel image and its true one, in closed form.
+
+    Rotated into the true camera frame, the distance at a pixel is
+    ``||M d_hat + t - d||`` with ``M = R^T R_hat`` and ``t = R^T (T_hat - T)``,
+    where ``d`` is the unit ray at the true intrinsics and ``d_hat`` the one
+    at the decoded intrinsics. Both are separable, ``d = (x_j, y_i, 1) / n_ij``,
+    so channel k of that vector, times ``n_hat``, is
+    ``M_k . (x_hat_j, y_hat_i, 1) - (e_k / n - t_k) n_hat`` with
+    ``e = (x_j, y_i, 1)``, and the distance is the norm of the three
+    channels over ``n_hat``. A frame takes three single-channel (H_r, W_r)
+    arrays; no raxel image and no ray grid at the decoded intrinsics is
+    built. The true frames share one set of intrinsics.
+    """
+    x, y, norm = _ray_factors(truth.frames[0].intrinsics)
+    inv_norm = np.divide(1.0, norm, out=norm)
+    per_frame = []
+    for frame, true in zip(predicted.frames, truth.frames):
+        r_t = true.pose.rotation.T
+        m = r_t @ frame.pose.rotation
+        t = r_t @ (frame.pose.translation - true.pose.translation)
+        x_hat, y_hat, norm_hat = _ray_factors(frame.intrinsics)
+        total = np.zeros_like(norm_hat)
+        channel = np.empty_like(norm_hat)
+        for k, e in enumerate((x[None, :], y[:, None], 1.0)):
+            np.multiply(e, inv_norm, out=channel)
+            channel -= t[k]
+            channel *= norm_hat
+            np.subtract((m[k, 0] * x_hat + m[k, 2])[None, :], channel, out=channel)
+            channel += (m[k, 1] * y_hat)[:, None]
+            channel *= channel
+            total += channel
+        np.sqrt(total, out=total)
+        total /= norm_hat
+        per_frame.append(float(total.mean()))
+    return float(np.mean(per_frame))

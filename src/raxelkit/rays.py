@@ -98,20 +98,30 @@ def grid_pixel_coordinates(width: int, height: int) -> tuple[np.ndarray, np.ndar
     return u, v
 
 
+def _ray_factors(intrinsics: Intrinsics) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The separable factors of the raxel grid's camera rays: ray (i, j) is
+    ``(x[j], y[i], 1) / norm[i, j]``. Returns ``x`` over columns, ``y`` over
+    rows and ``norm = sqrt(x[None, :]**2 + y[:, None]**2 + 1)``, a fresh
+    writeable (H_r, W_r) array."""
+    u, v = grid_pixel_coordinates(intrinsics.width, intrinsics.height)
+    x = (u - intrinsics.cx) / intrinsics.fx
+    y = (v - intrinsics.cy) / intrinsics.fy
+    norm = (x * x)[None, :] + (y * y)[:, None]
+    norm += 1.0
+    return x, y, np.sqrt(norm, out=norm)
+
+
 @lru_cache(maxsize=1)
 def ray_grid(intrinsics: Intrinsics) -> np.ndarray:
     """Unit camera-space ray directions K^-1 u / ||K^-1 u|| on the raxel grid.
 
     Returns a read-only array of shape (floor(H/2), floor(W/2), 3). The
-    norm is separable, ``sqrt(x[None, :]**2 + y[:, None]**2 + 1)``, so it
-    is formed on the 2-D grid once, not per 3-vector. The cache holds one
-    grid: a trajectory's frames share it; one-shot intrinsics cannot grow it.
+    norm is separable (``_ray_factors``), so it is formed on the 2-D grid
+    once, not per 3-vector. The cache holds one grid: a trajectory's frames
+    share it; one-shot intrinsics cannot grow it.
     """
-    u, v = grid_pixel_coordinates(intrinsics.width, intrinsics.height)
-    x = (u - intrinsics.cx) / intrinsics.fx
-    y = (v - intrinsics.cy) / intrinsics.fy
-    norm = np.sqrt((x * x)[None, :] + (y * y)[:, None] + 1.0)
-    dirs = np.empty((v.size, u.size, 3))
+    x, y, norm = _ray_factors(intrinsics)
+    dirs = np.empty((y.size, x.size, 3))
     np.divide(x[None, :], norm, out=dirs[:, :, 0])
     np.divide(y[:, None], norm, out=dirs[:, :, 1])
     np.divide(1.0, norm, out=dirs[:, :, 2])

@@ -650,6 +650,45 @@ def test_bench_zero_seeds_rewrites_only_an_existing_file(tmp_path, capsys):
     assert _read(csv) == first
 
 
+def test_bench_keeps_the_cells_before_a_failed_one(tmp_path, monkeypatch):
+    csv, whole = tmp_path / "b.csv", tmp_path / "whole.csv"
+    cell = ("--kinds", "orbit", "--seeds", 1, "--frames", 5, "--width", 64, "--height", 48)
+    # a sigma of 1e200 overflows the registration of the second cell
+    assert run("bench", "--out", csv, "--magnitudes", 0.01, 1e200, *cell) == 2
+    lines = csv.read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("orbit,5,0.01,0,")
+    computed = []
+    real = cli.cycle_consistency_run
+    monkeypatch.setattr(cli, "cycle_consistency_run",
+                        lambda t, spec: computed.append(spec.magnitude) or real(t, spec))
+    assert run("bench", "--out", csv, "--magnitudes", 0.01, 0.05, *cell) == 0
+    assert computed == [0.05]
+    assert run("bench", "--out", whole, "--magnitudes", 0.01, 0.05, *cell) == 0
+    assert _read(csv) == _read(whole)
+
+
+@pytest.mark.parametrize("interrupted_call", [1, 2])
+def test_bench_keeps_the_cells_before_an_interrupt(tmp_path, monkeypatch, interrupted_call):
+    csv = tmp_path / "b.csv"
+    calls = []
+    real = cli.cycle_consistency_run
+
+    def interrupt(t, spec):
+        calls.append(spec)
+        if len(calls) == interrupted_call:
+            raise KeyboardInterrupt
+        return real(t, spec)
+
+    monkeypatch.setattr(cli, "cycle_consistency_run", interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        run("bench", "--out", csv, *BENCH_ARGS)
+    if interrupted_call == 1:
+        assert not csv.exists()  # no cell computed, no file written
+    else:
+        lines = csv.read_text().splitlines()
+        assert len(lines) == 2 and lines[1].startswith("orbit,5,0.001,0,")
+
+
 def test_bench_cell_matches_roundtrip(tmp_path, capsys):
     csv = tmp_path / "b.csv"
     run(

@@ -424,12 +424,44 @@ class TestCycleConsistency:
         assert np.isfinite(residual)
 
     def test_adds_at_most_one_grid_to_cache(self):
-        # decoded focal lengths are one-shot intrinsics; re-encoding them
-        # must not fill the ray_grid cache
+        # decoded focal lengths are one-shot intrinsics; the residual must
+        # build no grid at them, so the trajectory's grid is built once
         t = generate_trajectory(TrajectoryKind.ORBIT, 9, INTR)
+        spec = PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01, seed=2)
         ray_grid.cache_clear()
-        cycle_consistency_run(t, PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01, seed=2))
-        assert ray_grid.cache_info().currsize <= 1
+        cycle_consistency_run(t, spec)
+        first = ray_grid.cache_info()
+        assert first.currsize <= 1 and first.misses <= 1
+        cycle_consistency_run(t, spec)
+        assert ray_grid.cache_info().misses == first.misses
+
+    @pytest.mark.parametrize("intr", [
+        Intrinsics(fx=720.5, fy=720.5, cx=416.0, cy=240.0, width=832, height=480),
+        Intrinsics(fx=650.0, fy=700.0, cx=300.3, cy=200.7, width=833, height=481),
+    ], ids=["centred", "off-centre"])
+    @pytest.mark.parametrize("kind", [TrajectoryKind.ORBIT, TrajectoryKind.ARC_LEFT,
+                                      TrajectoryKind.LINE, TrajectoryKind.STILL],
+                             ids=lambda k: k.value)
+    def test_residual_matches_re_encoded_images(self, monkeypatch, kind, intr):
+        # the closed form against the images it stands for: the decoded
+        # frames encoded again, minus the clean encoding, per pixel
+        t = generate_trajectory(kind, 5, intr)
+        predicted = []
+        real = evaluation.decoded_trajectory
+        monkeypatch.setattr(evaluation, "decoded_trajectory",
+                            lambda *args, **kw: predicted.append(real(*args, **kw)) or predicted[-1])
+        specs = [PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, sigma, seed=3)
+                 for sigma in (0.0, 0.001, 0.05)]
+        specs += [PerturbationSpec(PerturbationKind.UNIFORM_QUANTIZE, 8, seed=3),
+                  PerturbationSpec(PerturbationKind.PIXEL_DROPOUT, 0.3, seed=3)]
+        for spec in specs:
+            residual = cycle_consistency_run(t, spec)[2]
+            oracle = np.mean([
+                np.linalg.norm(encode_raxel(p, p.pose).data - encode_raxel(g, g.pose).data,
+                               axis=2).mean()
+                for p, g in zip(predicted[-1].frames, t.frames)
+            ])
+            assert abs(residual - oracle) <= 1e-10 * oracle + 1e-14, (spec, residual, oracle)
 
     def test_holds_one_frame_at_a_time(self):
         # all 21 clean and 21 damaged grids held at once would be over 42 grids
