@@ -115,9 +115,10 @@ def _detect_reference(images, width: int, height: int) -> int:
     geometry exits 4. A ShapeMismatchError fails the detection.
     """
     best_pos, best_residual, first_failure = None, np.inf, None
+    identity = Pose.identity()
     for pos, image in enumerate(images):
         try:
-            fx, fy, _ = recover_focal(image, Pose.identity(), width, height)
+            fx, fy, _ = recover_focal(image, identity, width, height)
             intr = Intrinsics(
                 fx=fx, fy=fy, cx=width / 2.0, cy=height / 2.0, width=width, height=height
             )

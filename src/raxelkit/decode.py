@@ -12,10 +12,13 @@ Inverts the raxel encoding in two closed-form steps per frame:
 
 ``decode_trajectory`` reads its sequence of grids once, reference first,
 and reduces the reference bundle for registration once per trajectory
-(its centroid and centred x/y/z rows), so each frame costs one
-registration against it and one focal pass over the frame's camera-frame
-rays (x/y/z rows, ``R^T (p - T)``). ``recover_pose`` is the pose step for
-a single frame pair. Only ``GridKind.RAXEL`` grids decode.
+(its centroid and centred x/y/z rows) before any frame is decoded, so
+each frame costs one registration against it and one focal pass over the
+frame's camera-frame rays (x/y/z rows, ``R^T (p - T)``); the reference
+grid itself is dropped once its own position is decoded. Registration
+and the camera-frame rays run their BLAS products in row blocks that stay
+on the calling thread (``geometry._row_blocks``). ``recover_pose`` is the
+pose step for a single frame pair. Only ``GridKind.RAXEL`` grids decode.
 
 The principal point is taken as the image center unless the caller
 supplies one; ``decoded_trajectory`` turns decoded frames into a
@@ -186,12 +189,13 @@ def decode_trajectory(
     """Decode every raxel image against the reference frame's image.
 
     ``images`` is any sized sequence of grids. Each element is read exactly
-    once, the reference first, and no other grid is kept past its own
-    frame, so a sequence that builds its grids on demand is decoded one
-    frame at a time. The reference bundle is reduced for registration once
-    and shared by every frame. Frames are solved independently; a frame
-    that is degenerate, has too few focal inliers, a focal that is not
-    positive or non-finite pixels (``FRAME_FAILURES``) is reported in the
+    once, the reference first, then the other positions in ascending order,
+    and no grid is kept past its own frame, the reference included, so a
+    sequence that builds its grids on demand is decoded one frame at a
+    time. The reference bundle is reduced for registration once, when it
+    is read, and shared by every frame. Frames are solved independently;
+    a frame that is degenerate, has too few focal inliers, a focal that is
+    not positive or non-finite pixels (``FRAME_FAILURES``) is reported in the
     failure list (with its position) and leaves a None placeholder, without
     aborting the rest. The reference frame's pose is set to the exact
     identity, not solved; a non-finite reference raises NonFiniteInputError,
@@ -209,17 +213,21 @@ def decode_trajectory(
     ref_image = images[reference_index]
     _require_raxel(ref_image, f"image {reference_index}")
     ref_shape = ref_image.data.shape
-    ref_points = ref_image.data.reshape(-1, 3)
-    if not np.all(np.isfinite(ref_points)):
+    if not np.all(np.isfinite(ref_image.data)):
         raise NonFiniteInputError(
             f"reference image {reference_index} contains non-finite pixels"
         )
 
+    # reduced for registration here; the reference grid itself is dropped
+    # once its own position is decoded
+    reference = _prepare_source(ref_image.data.reshape(-1, 3)) if n > 1 else None
     decoded: list[DecodedFrame | None] = [None] * n
     failures: list[DecodeFailure] = []
-    reference = None
     for pos in range(n):
-        img = ref_image if pos == reference_index else images[pos]
+        if pos == reference_index:
+            img, ref_image = ref_image, None
+        else:
+            img = images[pos]
         _require_raxel(img, f"image {pos}")
         if img.data.shape != ref_shape:
             raise ShapeMismatchError(
@@ -229,8 +237,6 @@ def decode_trajectory(
             if pos == reference_index:
                 pose, residual = Pose.identity(), 0.0
             else:
-                if reference is None:
-                    reference = _prepare_source(ref_points)
                 result = register(img.data.reshape(-1, 3), reference)
                 pose, residual = result.pose, result.rms_residual
             fx_hat, fy_hat, inlier_fraction = recover_focal(

@@ -13,6 +13,10 @@ writeable again; ``_PickledAsConstructorCall`` unpickles and deep-copies
 through the constructor, which applies the rule again. Both store a view
 over the frozen memory, never the array that owns it, so setting a stored
 array's ``writeable`` flag raises rather than reopening it to writes.
+
+``_row_blocks`` is the package's one rule for BLAS products over per-pixel
+arrays: they run in blocks of ``_BLOCK_ROWS`` rows, each small enough to
+stay on the calling thread.
 """
 
 from __future__ import annotations
@@ -73,6 +77,20 @@ class _PickledAsConstructorCall:
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
+# Rows per BLAS call over a per-pixel array of 3-vectors. OpenBLAS runs a dot
+# of at most 10000 elements, and the package's gemv and gemm shapes up to
+# several thousand rows, on the calling thread; above that it wakes its thread
+# pool, which then spins on the other cores after every call and takes them
+# from any other thread. Summing per-block partial results also makes the
+# reductions' rounding independent of the pool's size.
+_BLOCK_ROWS = 3000
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ``_BLOCK_ROWS`` rows covering ``range(n)``."""
+    return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
 
 
 def nearest_rotation(matrix: np.ndarray) -> np.ndarray:

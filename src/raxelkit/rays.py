@@ -41,9 +41,11 @@ from .geometry import (
     Intrinsics,
     Pose,
     Trajectory,
+    _BLOCK_ROWS,
     _freeze,
     _PickledAsConstructorCall,
     _read_only,
+    _row_blocks,
     canonicalize,
 )
 
@@ -132,22 +134,27 @@ def _encode(dirs: np.ndarray, pose: Pose, kind: GridKind) -> np.ndarray:
     """``kind``'s channels over an (H, W, 3) ray grid, freshly allocated, as
     ``d @ A + b`` for each row-vector ray d: raxel ``A = R^T, b = T``;
     Plucker ``A = [R^T | R^T [T]x], b = 0`` with ``d @ [T]x = d x T``;
-    raymap ``A = [0 | R^T], b = [T, 0]``. One gemm, then b is tiled across
-    whole grid rows, so the add runs over rows of C*W numbers."""
+    raymap ``A = [0 | R^T], b = [T, 0]``. One gemm per block of rays
+    (``_row_blocks``), each followed by its add of b, which Plucker skips."""
     r_t, t = pose.rotation.T, pose.translation
     h, w, _ = dirs.shape
     a = np.zeros((3, kind.channels))
+    b = np.zeros(kind.channels)
     if kind is GridKind.PLUCKER:
         a[:, :3] = r_t
         a[:, 3:] = r_t @ np.array([[0.0, -t[2], t[1]], [t[2], 0.0, -t[0]], [-t[1], t[0], 0.0]])
-        return (dirs.reshape(-1, 3) @ a).reshape(h, w, 6)
-    a[:, -3:] = r_t
-    b = np.zeros(kind.channels)
-    b[:3] = t
-    data = (dirs.reshape(-1, 3) @ a).reshape(h, w, kind.channels)
-    rows = data.reshape(h, -1)
-    rows += np.tile(b, w)
-    return data
+    else:
+        a[:, -3:] = r_t
+        b[:3] = t
+    rays = dirs.reshape(-1, 3)
+    data = np.empty((rays.shape[0], kind.channels))
+    # b repeated over a block, so each add runs over one flat block
+    offsets = np.tile(b, min(rays.shape[0], _BLOCK_ROWS))
+    for rows in _row_blocks(rays.shape[0]):
+        block = np.matmul(rays[rows], a, out=data[rows]).reshape(-1)
+        if kind is not GridKind.PLUCKER:
+            block += offsets[: block.size]
+    return data.reshape(h, w, kind.channels)
 
 
 def encode_raxel(frame: CameraFrame, pose_rel: Pose) -> RayGrid:

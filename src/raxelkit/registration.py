@@ -4,14 +4,19 @@ Solves argmin over SE(3) of sum_i ||target_i - (R @ source_i + T)||^2 via
 the Kabsch construction: centroid subtraction, SVD of the cross-covariance,
 and a determinant correction that excludes reflections.
 
-The source side is reduced once (``_prepare_source``): its centroid, its
-centred points as contiguous x/y/z rows, and their row sums.
-Each target then costs one gemv for its centroid, one gemm for the
-cross-covariance ``src_c^T @ tgt - outer(sum(src_c), centroid_t)`` (the
-target is never centred explicitly), a 3x3 SVD, and one gemm mapping the
-target back into the source frame, from which the residual is a single dot
-product. ``register`` also accepts an already prepared source, so a
-trajectory decode reduces its reference once for all frames.
+The source side is reduced once (``_prepare_source``): its centroid, and
+its centred points as contiguous x/y/z rows with their row sums and norm;
+the source itself is not kept. Every per-point product runs over blocks of
+rows (``geometry._row_blocks``), small enough that BLAS keeps each call on
+the calling thread. Per block, a target costs one gemv towards its
+centroid, one gemm towards the cross-covariance
+``src_c^T @ tgt - outer(sum(src_c), centroid_t)`` (the target is never
+centred explicitly) and one dot towards its norm; after the 3x3 SVD, one
+gemm maps the block back into the source frame, ``R^T (p - T)``, the
+source ``centroid + src_c`` is subtracted and one dot adds the block's
+squared residual, so no array of the target's size is built. ``register``
+also accepts an already prepared source, so a trajectory decode reduces
+its reference once for all frames.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .errors import (
     NonFiniteInputError,
     ShapeMismatchError,
 )
-from .geometry import Pose
+from .geometry import _BLOCK_ROWS, Pose, _row_blocks
 
 # Smallest-to-largest singular value ratio of the cross-covariance below which
 # the rotation about the weak axis is unobservable.
@@ -51,18 +56,16 @@ class RegistrationResult:
 class _PreparedSource:
     """A source point set reduced once for registering many targets.
 
-    ``rows`` is the source as a contiguous (3, n) array of x/y/z rows,
-    ``centred`` the centred rows ``s_i - centroid`` with their row sums and
-    Frobenius norm, and ``averaging`` the uniform gemv vector ``1 / n``
-    that yields a centroid.
+    ``centred`` holds the centred points ``s_i - centroid`` as a contiguous
+    (3, n) array of x/y/z rows, with their row sums and Frobenius norm. The
+    points themselves are not kept: the residual takes them as
+    ``centroid + centred``.
     """
 
-    rows: np.ndarray
     centroid: np.ndarray
     centred: np.ndarray
     centred_sum: np.ndarray
     centred_norm: float
-    averaging: np.ndarray
 
 
 def _as_point_set(points, name: str) -> np.ndarray:
@@ -79,32 +82,47 @@ def _require_finite(pts: np.ndarray, name: str) -> None:
         raise NonFiniteInputError(f"{name} contains non-finite coordinates")
 
 
+def _centroid(points: np.ndarray) -> np.ndarray:
+    """Mean of the (n, 3) ``points``: one gemv with the uniform weights
+    ``1 / n`` per row block, summed in block order."""
+    n = points.shape[0]
+    weights = np.full(min(n, _BLOCK_ROWS), 1.0 / n)
+    total = np.zeros(3)
+    for rows in _row_blocks(n):
+        total += weights[: rows.stop - rows.start] @ points[rows]
+    return total
+
+
 def _prepare_source(source) -> _PreparedSource:
     """Reduce ``source`` for ``_register_prepared``. Raises as ``register``
     does for a bad source."""
     src = _as_point_set(source, "source")
     _require_finite(src, "source")
-    averaging = np.full(src.shape[0], 1.0 / src.shape[0])
-    centroid = averaging @ src
-    rows = np.ascontiguousarray(src.T)
-    centred = rows - centroid[:, None]
+    centroid = _centroid(src)
+    centred = np.empty((3, src.shape[0]))
+    norm_sq = 0.0
+    for rows in _row_blocks(src.shape[0]):
+        block = src[rows] - centroid
+        centred[:, rows] = block.T
+        norm_sq += np.vdot(block, block)
     return _PreparedSource(
-        rows=rows,
         centroid=centroid,
         centred=centred,
         centred_sum=centred.sum(axis=1),
-        centred_norm=float(np.sqrt(np.vdot(centred, centred))),
-        averaging=averaging,
+        centred_norm=float(np.sqrt(norm_sq)),
     )
 
 
 def _source_frame_rows(points: np.ndarray, pose: Pose) -> np.ndarray:
     """``R^T (p - T)`` for every row of the (n, 3) ``points``, returned as a
-    contiguous (3, n) array of x/y/z rows."""
+    contiguous (3, n) array of x/y/z rows, one gemm per row block."""
     rt = pose.rotation.T
-    rows = rt @ points.T
-    rows -= (rt @ pose.translation)[:, None]
-    return rows
+    shift = (rt @ pose.translation)[:, None]
+    out = np.empty((3, points.shape[0]))
+    for rows in _row_blocks(points.shape[0]):
+        block = np.matmul(rt, points[rows].T, out=out[:, rows])
+        block -= shift
+    return out
 
 
 def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
@@ -116,20 +134,26 @@ def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
     pin down a rotation.
     """
     tgt = _as_point_set(target, "target")
-    n = prepared.rows.shape[1]
+    n = prepared.centred.shape[1]
     if tgt.shape[0] != n:
         raise ShapeMismatchError(
             f"point sets must have equal lengths, got {tgt.shape[0]} and {n}"
         )
-    tgt_centroid = prepared.averaging @ tgt
+    tgt_centroid = _centroid(tgt)
     # a non-finite coordinate always reaches the centroid (0 * inf is nan)
     if not np.all(np.isfinite(tgt_centroid)):
         _require_finite(tgt, "target")
 
+    blocks = _row_blocks(n)
+    cross_cov = np.zeros((3, 3))
+    tgt_sq = 0.0
     # finite but huge coordinates can overflow these sums
     with np.errstate(over="ignore", invalid="ignore"):
-        cross_cov = prepared.centred @ tgt - np.outer(prepared.centred_sum, tgt_centroid)
-        tgt_norm = np.sqrt(np.vdot(tgt, tgt))
+        for rows in blocks:
+            cross_cov += prepared.centred[:, rows] @ tgt[rows]
+            tgt_sq += np.vdot(tgt[rows], tgt[rows])
+        cross_cov -= np.outer(prepared.centred_sum, tgt_centroid)
+        tgt_norm = np.sqrt(tgt_sq)
     if not (np.all(np.isfinite(cross_cov)) and np.isfinite(tgt_norm)):
         raise NonFiniteInputError(
             "target coordinates are too large: their cross-covariance or norm overflows"
@@ -149,10 +173,16 @@ def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
     rotation = v @ np.diag([1.0, 1.0, d]) @ u.T
     pose = Pose(rotation, tgt_centroid - rotation @ prepared.centroid)
 
-    residuals = _source_frame_rows(tgt, pose)
-    residuals -= prepared.rows
-    mean_sq = float(np.vdot(residuals, residuals)) / n
-    return RegistrationResult(pose, float(np.sqrt(mean_sq)), condition)
+    # the residual R^T (p - T) - s, with s = centroid + centred, per block
+    rt = pose.rotation.T
+    shift = (rt @ pose.translation + prepared.centroid)[:, None]
+    sum_sq = 0.0
+    for rows in blocks:
+        residual = rt @ tgt[rows].T
+        residual -= shift
+        residual -= prepared.centred[:, rows]
+        sum_sq += np.vdot(residual, residual)
+    return RegistrationResult(pose, float(np.sqrt(float(sum_sq) / n)), condition)
 
 
 def register(target, source) -> RegistrationResult:

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -22,7 +23,7 @@ from raxelkit.errors import (
 )
 from raxelkit.geometry import Trajectory, canonicalize, compose, geodesic_rotation_distance, inverse
 from raxelkit.io import load_raxel, load_trajectory, save_raxel, save_trajectory
-from raxelkit.rays import RayGrid, ray_grid
+from raxelkit.rays import RayGrid, TrajectoryRaxels, ray_grid
 
 
 def run(*argv):
@@ -687,6 +688,68 @@ def test_bench_keeps_the_cells_before_an_interrupt(tmp_path, monkeypatch, interr
     else:
         lines = csv.read_text().splitlines()
         assert len(lines) == 2 and lines[1].startswith("orbit,5,0.001,0,")
+
+
+def _threads_at_each_read(monkeypatch, interrupted_read=None):
+    """Patch every clean-grid read of the cycle to record the threads alive
+    beyond the current ones, and to raise KeyboardInterrupt at read number
+    ``interrupted_read``; returns the list of recorded thread sets."""
+    before = set(threading.enumerate())
+    seen = []
+    read = TrajectoryRaxels.__getitem__
+
+    def recording(self, k):
+        seen.append(set(threading.enumerate()) - before)
+        if len(seen) == interrupted_read:
+            raise KeyboardInterrupt
+        return read(self, k)
+
+    monkeypatch.setattr(TrajectoryRaxels, "__getitem__", recording)
+    return seen
+
+
+@pytest.mark.parametrize("magnitude, code", [("0.01", 0), ("1e200", 2)])
+def test_no_thread_outlives_a_cycle(tmp_path, monkeypatch, magnitude, code):
+    traj = tmp_path / "t.traj"
+    run("synth", "orbit", 5, traj, "--width", 64, "--height", 48)
+    before = set(threading.enumerate())
+    seen = _threads_at_each_read(monkeypatch)
+    assert run("roundtrip", traj, "--magnitude", magnitude) == code
+    # the noise worker ran beside the decode's five reads (a failure adds reads after it)
+    assert len(seen) >= 5 and all(seen[1:5])
+    assert set(threading.enumerate()) == before
+
+
+def test_interrupted_read_leaves_no_thread_and_bench_keeps_its_rows(tmp_path, monkeypatch):
+    csv, first = tmp_path / "b.csv", tmp_path / "first.csv"
+    cell = ("--kinds", "orbit", "--seeds", 1, "--frames", 5, "--width", 64, "--height", 48)
+    assert run("bench", "--out", first, "--magnitudes", 0.01, *cell) == 0
+    before = set(threading.enumerate())
+    # read 8 is the second cell's third frame, read while the worker draws its noise
+    seen = _threads_at_each_read(monkeypatch, interrupted_read=8)
+    with pytest.raises(KeyboardInterrupt):
+        run("bench", "--out", csv, "--magnitudes", 0.01, 0.05, *cell)
+    assert len(seen) == 8 and seen[7]
+    assert set(threading.enumerate()) == before
+    assert _read(csv) == _read(first)
+
+
+def test_bench_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at 832x480 the per-pixel products are large enough for BLAS to split
+    # across threads if a single call covered a whole grid
+    outputs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"threads-{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "raxelkit", "bench", "--out", str(out), "--kinds", "orbit",
+             "--magnitudes", "0.01", "--seeds", "2", "--frames", "5"],
+            env=env, check=True, timeout=300,
+        )
+        outputs.append(_read(out))
+    assert outputs[0] == outputs[1]
 
 
 def test_bench_cell_matches_roundtrip(tmp_path, capsys):

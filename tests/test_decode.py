@@ -332,7 +332,8 @@ class TestDecodeTrajectory:
 class CountingGrids:
     """A sized sequence that builds a fresh grid on each read. It records the
     order of reads, and at each read which earlier non-reference grids still
-    have their pixel arrays alive; it holds only weak references to them."""
+    have their pixel arrays alive (every grid when ``reference`` is None);
+    it holds only weak references to them."""
 
     def __init__(self, data, reference):
         self.data, self.reference = data, reference
@@ -392,3 +393,17 @@ class TestLazyDecode:
                 assert (got.fx_hat, got.fy_hat, got.pose_residual, got.inlier_fraction) == (
                     exp.fx_hat, exp.fy_hat, exp.pose_residual, exp.inlier_fraction
                 )
+
+    @pytest.mark.parametrize("reference", [0, 3])
+    def test_drops_the_reference_grid_once_its_position_is_decoded(self, reference):
+        intr = Intrinsics(fx=60.0, fy=60.0, cx=48.0, cy=32.0, width=96, height=64)
+        frame = CameraFrame(intrinsics=intr, pose=Pose.identity(), index=0)
+        poses = orbit_poses(6)
+        to_ref = inverse(poses[reference])
+        grids = CountingGrids(
+            [encode_raxel(frame, compose(to_ref, p)).data for p in poses], reference=None
+        )
+        decoded, failures = decode_trajectory(grids, reference, 96, 64)
+        assert not failures and all(d is not None for d in decoded)
+        # like any other grid, the reference may live on through the next read only
+        assert {k: alive for k, alive in grids.alive_at_read.items() if alive} == {}

@@ -2,11 +2,13 @@
 cycle-consistency harness."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from raxelkit import evaluation
+from raxelkit.decode import decoded_trajectory
 from raxelkit.errors import (
     LengthMismatchError,
     ReferenceMismatchError,
@@ -479,6 +481,60 @@ class TestCycleConsistency:
         finally:
             tracemalloc.stop()
         assert (peak - baseline) / grid_bytes < 12
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.05])
+    @pytest.mark.parametrize("kind, reverse", [
+        (TrajectoryKind.ORBIT, False), (TrajectoryKind.ARC_LEFT, True),
+    ], ids=["orbit-reference-first", "reversed-arc-reference-last"])
+    def test_pipelined_cycle_equals_decoding_the_perturbed_list(self, monkeypatch, kind,
+                                                                reverse, sigma):
+        # 128x80 grids: over three row blocks per product
+        intr = Intrinsics(fx=210.0, fy=200.0, cx=128.0, cy=80.0, width=256, height=160)
+        t = generate_trajectory(kind, 7, intr)
+        t = reverse_trajectory(t) if reverse else t
+        assert t.reference_index == (6 if reverse else 0)
+        canonical = canonicalize(t, t.reference_index)
+        spec = PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, sigma, seed=8)
+        seeds = np.random.SeedSequence(spec.seed).generate_state(len(t))
+        damaged = [perturb(encode_raxel(f, f.pose), replace(spec, seed=int(seed)))
+                   for f, seed in zip(canonical.frames, seeds)]
+
+        read, decodes = {}, []
+        real = evaluation.decode_trajectory
+
+        class Recorded:
+            def __init__(self, images):
+                self.images = images
+
+            def __len__(self):
+                return len(self.images)
+
+            def __getitem__(self, k):
+                grid = self.images[k]
+                read[k] = grid.data.tobytes()
+                return grid
+
+        monkeypatch.setattr(evaluation, "decode_trajectory",
+                            lambda images, *args: decodes.append(real(Recorded(images), *args))
+                            or decodes[-1])
+        report, mrra30, residual = cycle_consistency_run(t, spec)
+        assert read == {k: grid.data.tobytes() for k, grid in enumerate(damaged)}
+
+        image = (intr.width, intr.height, intr.cx, intr.cy)
+        decoded, failures = real(damaged, t.reference_index, *image)
+        assert not failures and not decodes[0][1]
+        for got, want in zip(decodes[0][0], decoded):
+            for name in ("fx_hat", "fy_hat", "pose_residual", "inlier_fraction"):
+                assert getattr(got, name) == getattr(want, name)
+            assert got.pose.rotation.tobytes() == want.pose.rotation.tobytes()
+            assert got.pose.translation.tobytes() == want.pose.translation.tobytes()
+        predicted = decoded_trajectory(decoded, failures, [f.index for f in t.frames],
+                                       t.reference_index, *image)
+        want_report = pose_errors(predicted, canonical)
+        assert report.rotation_error.tobytes() == want_report.rotation_error.tobytes()
+        assert report.translation_error.tobytes() == want_report.translation_error.tobytes()
+        assert mrra30 == mrra(predicted, canonical, tau=30.0)
+        assert residual == evaluation._reencode_residual(predicted, canonical)
 
     def test_mixed_intrinsics_rejected(self):
         other = Intrinsics(fx=90.0, fy=90.0, cx=64.0, cy=48.0, width=128, height=96)
