@@ -361,30 +361,6 @@ def _attend_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, w_output: np.ndar
     return _merge_heads(out) @ w_output
 
 
-def _attend(
-    q_tokens: np.ndarray,
-    q_positions: np.ndarray,
-    kv_tokens: np.ndarray,
-    kv_positions: np.ndarray,
-    w_query: np.ndarray,
-    w_key: np.ndarray,
-    w_value: np.ndarray,
-    w_output: np.ndarray,
-    head_count: int,
-) -> np.ndarray:
-    """Multi-head attention of normalized tokens, without the residual.
-
-    Rotary encoding is applied to the queries and keys of all heads at
-    once, from one cos/sin table when both sides pass the same positions
-    array, as self-attention does.
-    """
-    head_dim = q_tokens.shape[1] // head_count
-    q_table = _rope_table(head_dim, q_positions)
-    k_table = q_table if kv_positions is q_positions else _rope_table(head_dim, kv_positions)
-    q = _queries(q_tokens, q_table, w_query, head_count)
-    return _attend_heads(q, *_keys_values(kv_tokens, k_table, w_key, w_value, head_count), w_output)
-
-
 def _kept(seq: TokenSeq, params: DscaBlockParams, key, compute):
     """``compute()``, kept on ``seq`` under ``key`` for this params object.
 
@@ -411,12 +387,13 @@ def self_attention(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:
             f"token width {seq.d_model} does not match parameter width {params.d_model}"
         )
     branch = params.branch_for(seq.modality)
+    heads = params.head_count
     h = _layer_norm(seq.tokens, branch.gain_self)
-    out = _attend(
-        h, seq.positions, h, seq.positions,
-        branch.self_query, branch.self_key, branch.self_value, branch.self_output,
-        params.head_count,
-    )
+    # queries and keys share the positions, so one rotary table serves both
+    table = _rope_table(params.d_model // heads, seq.positions)
+    q = _queries(h, table, branch.self_query, heads)
+    k, v = _keys_values(h, table, branch.self_key, branch.self_value, heads)
+    out = _attend_heads(q, k, v, branch.self_output)
     return TokenSeq(_freeze(seq.tokens + out), seq.positions, seq.modality)
 
 

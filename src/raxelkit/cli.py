@@ -40,7 +40,7 @@ from .evaluation import (
 )
 from .geometry import Intrinsics, Pose, canonicalize
 from .rays import GridKind, RayGrid, encode_plucker, encode_raxel, encode_raymap, ray_grid
-from .registration import register
+from .registration import _as_point_set, register
 
 CSV_HEADER = (
     "kind,frames,magnitude,seed,"
@@ -64,9 +64,14 @@ _GEOMETRIC_ERRORS = (DegenerateGeometryError, InsufficientInliersError)
 
 def _check_image_size(width: int, height: int) -> None:
     # checked by name, since a bad size would otherwise surface as a bad
-    # focal (synth, bench) or a grid mismatch (decode)
+    # focal (synth, bench), a grid mismatch (decode) or an empty grid
     if width <= 0 or height <= 0:
         raise ValueError(f"image size {width}x{height} is not positive")
+    if width < 2 or height < 2:
+        raise ValueError(
+            f"image size {width}x{height} has a side under 2 pixels, "
+            "which leaves its half-resolution grid empty"
+        )
 
 
 def _default_intrinsics(width: int, height: int, fov_deg: float) -> Intrinsics:
@@ -81,8 +86,17 @@ def _default_intrinsics(width: int, height: int, fov_deg: float) -> Intrinsics:
 
 # ----------------------------------------------------------------- encode
 
+def _load_trajectory(path: str):
+    """The trajectory file at ``path``; ValueError when ``_check_image_size``
+    refuses the image size it states."""
+    trajectory = rkio.load_trajectory(path)
+    intr = trajectory.frames[0].intrinsics  # the file states one size for all frames
+    _check_image_size(intr.width, intr.height)
+    return trajectory
+
+
 def cmd_encode(args) -> None:
-    trajectory = rkio.load_trajectory(args.trajectory)
+    trajectory = _load_trajectory(args.trajectory)
     canonical = canonicalize(trajectory, trajectory.reference_index)
     # the table is built per call, so it holds this module's current bindings
     # of the encoders (the benchmark's tracer wraps them to time each layer)
@@ -112,11 +126,17 @@ def _detect_reference(images, width: int, height: int) -> int:
     A candidate that fails as a frame can (``FRAME_FAILURES``) is skipped.
     When every candidate fails, raises a RaxelkitError chained from the
     first candidate's failure, so non-finite pixels exit 2 and degenerate
-    geometry exits 4. A ShapeMismatchError fails the detection.
+    geometry exits 4. A ShapeMismatchError fails the detection: image
+    dimensions that do not fit the grid, or a grid with too few pixels to
+    register, which is refused before its focal vote.
     """
     best_pos, best_residual, first_failure = None, np.inf, None
     identity = Pose.identity()
     for pos, image in enumerate(images):
+        # registration's source, the identity grid, has as many points as
+        # the image; at the default size a 1-pixel grid's focal vote fails
+        # first, as degenerate geometry
+        _as_point_set(image.data.reshape(-1, 3), "source")
         try:
             fx, fy, _ = recover_focal(image, identity, width, height)
             intr = Intrinsics(
@@ -239,7 +259,7 @@ def _write_csv(path: str, rows: list[str]) -> None:
 
 
 def cmd_roundtrip(args) -> None:
-    trajectory = rkio.load_trajectory(args.trajectory)
+    trajectory = _load_trajectory(args.trajectory)
     rows = _existing_rows(args.csv) if args.csv else []
     report, mrra30, residual = _cycle_report(
         trajectory, args.noise_kind, args.magnitude, args.seed

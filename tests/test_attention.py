@@ -23,7 +23,7 @@ from raxelkit.attention import (
 )
 from raxelkit import attention
 from raxelkit.attention import (
-    _attend, _attend_heads, _gelu, _layer_norm, _rope_table, _rotate_pairs,
+    _attend_heads, _gelu, _keys_values, _layer_norm, _queries, _rope_table, _rotate_pairs,
 )
 from raxelkit.errors import ShapeMismatchError
 from raxelkit.flow import FreezeMask, euler_sample
@@ -547,13 +547,15 @@ class TestInPlaceKernels:
         positions = generate_positions()
         n = len(positions)
         tokens = np.random.default_rng(55).normal(size=(n, GEN_D_MODEL))
-        args = (tokens, positions, tokens, positions, branch.self_query, branch.self_key,
-                branch.self_value, branch.self_output, GEN_HEADS)
-        _attend(*args)
+        table = _rope_table(GEN_D_MODEL // GEN_HEADS, positions)
+        args = (_queries(tokens, table, branch.self_query, GEN_HEADS),
+                *_keys_values(tokens, table, branch.self_key, branch.self_value, GEN_HEADS),
+                branch.self_output)
+        _attend_heads(*args)
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            _attend(*args)
+            _attend_heads(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -568,13 +570,15 @@ class TestInPlaceKernels:
         n = len(positions)
         rng = np.random.default_rng(56)
         q_tokens, kv_tokens = rng.normal(size=(2, n, GEN_D_MODEL))
-        args = (q_tokens, positions, kv_tokens, positions.copy(), branch.cross_query,
-                branch.cross_key, branch.cross_value, branch.cross_output, GEN_HEADS)
-        _attend(*args)
+        table = _rope_table(GEN_D_MODEL // GEN_HEADS, positions)
+        args = (_queries(q_tokens, table, branch.cross_query, GEN_HEADS),
+                *_keys_values(kv_tokens, table, branch.cross_key, branch.cross_value, GEN_HEADS),
+                branch.cross_output)
+        _attend_heads(*args)
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            _attend(*args)
+            _attend_heads(*args)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

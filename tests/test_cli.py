@@ -21,7 +21,10 @@ from raxelkit.errors import (
     ShapeMismatchError,
     TrajectoryParseError,
 )
-from raxelkit.geometry import Trajectory, canonicalize, compose, geodesic_rotation_distance, inverse
+from raxelkit.evaluation import TrajectoryKind, generate_trajectory
+from raxelkit.geometry import (
+    Intrinsics, Trajectory, canonicalize, compose, geodesic_rotation_distance, inverse,
+)
 from raxelkit.io import load_raxel, load_trajectory, save_raxel, save_trajectory
 from raxelkit.rays import RayGrid, TrajectoryRaxels, ray_grid
 
@@ -385,17 +388,20 @@ def test_detect_reference_raises_on_dims_that_do_not_fit(tmp_path):
 
 
 @pytest.mark.parametrize("command, extra", [
+    ("decode", ("--width", 3, "--height", 3)),
+    ("decode", ("--width", 3, "--height", 3, "--reference", 0)),
+    # decoded at twice the grid size, 2x2: the one pixel sits on the
+    # principal point, where detection's focal vote cannot recover a focal
     ("decode", ()),
-    ("decode", ("--reference", 0)),
     ("roundtrip", ()),
-], ids=["decode-auto", "decode-reference", "roundtrip"])
+], ids=["decode-auto", "decode-reference", "decode-auto-default-size", "roundtrip"])
 def test_grids_too_small_to_register_are_a_usage_error(tmp_path, capsys, command, extra):
     # a 3x3 image has a 1x1 raxel grid: one point, where registration needs 3
     traj, grids = _synth_encode(tmp_path, frames=3, width=3, height=3)
     out = tmp_path / "out"
     capsys.readouterr()
     if command == "decode":
-        argv = (grids, out, "--width", 3, "--height", 3, *extra)
+        argv = (grids, out, *extra)
     else:
         argv = (traj, "--csv", out)
     assert run(command, *argv) == 2
@@ -972,6 +978,31 @@ def test_non_positive_image_size_is_named(tmp_path, capsys, command, flag, value
         capsys.readouterr()
     assert run(*[str(a).format(out=out) for a in argv], flag, value) == 2
     assert capsys.readouterr().err == f"error: image size {size} is not positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "bench", "decode", "encode", "roundtrip"])
+def test_one_pixel_image_side_is_refused(tmp_path, capsys, command):
+    # a 1-pixel side halves to an empty raxel grid
+    out, traj = tmp_path / "out", tmp_path / "t.traj"
+    if command in ("encode", "roundtrip"):
+        intr = Intrinsics(fx=50.0, fy=50.0, cx=0.5, cy=24.0, width=1, height=48)
+        save_trajectory(str(traj), generate_trajectory(TrajectoryKind.ORBIT, 5, intr))
+    if command == "decode":
+        _synth_encode(tmp_path)
+        capsys.readouterr()
+    argv = {
+        "synth": ("synth", "orbit", 5, out, "--width", 1, "--height", 48),
+        "bench": (*_SMALL_BENCH, "--width", 1),
+        "decode": ("decode", tmp_path / "grids", out, "--width", 1),
+        "encode": ("encode", traj, out),
+        "roundtrip": ("roundtrip", traj, "--csv", out),
+    }[command]
+    assert run(*[str(a).format(out=out) for a in argv]) == 2
+    assert capsys.readouterr().err == (
+        "error: image size 1x48 has a side under 2 pixels, "
+        "which leaves its half-resolution grid empty\n"
+    )
     assert not out.exists()
 
 

@@ -1,7 +1,9 @@
 """Tests for metrics, trajectory generators, perturbations, and the
 cycle-consistency harness."""
 
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -535,6 +537,36 @@ class TestCycleConsistency:
         assert report.translation_error.tobytes() == want_report.translation_error.tobytes()
         assert mrra30 == mrra(predicted, canonical, tau=30.0)
         assert residual == evaluation._reencode_residual(predicted, canonical)
+
+    @pytest.mark.parametrize("kind, reverse", [
+        (TrajectoryKind.ORBIT, False), (TrajectoryKind.ARC_LEFT, True),
+    ], ids=["orbit-reference-first", "reversed-arc-reference-last"])
+    def test_gaussian_cycle_draws_all_but_the_reference_on_the_worker(self, monkeypatch,
+                                                                       kind, reverse):
+        # the draws follow decode_trajectory's read order: were it to change,
+        # the noise would quietly be drawn on the caller's thread again
+        intr = Intrinsics(fx=60.0, fy=60.0, cx=32.0, cy=24.0, width=64, height=48)
+        t = generate_trajectory(kind, 7, intr)
+        t = reverse_trajectory(t) if reverse else t
+        spec = PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01, seed=9)
+        seeds = np.random.SeedSequence(spec.seed).generate_state(len(t))
+        perturbed, drawn_on = [], []
+        real_perturb = evaluation.perturb
+        monkeypatch.setattr(evaluation, "perturb", lambda image, spec: perturbed.append(
+            spec.seed) or real_perturb(image, spec))
+        real_submit = ThreadPoolExecutor.submit
+
+        def submit(pool, fn, *args, **kwargs):
+            def recorded(*a, **kw):
+                drawn_on.append(threading.get_ident())
+                return fn(*a, **kw)
+            return real_submit(pool, recorded, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", submit)
+        cycle_consistency_run(t, spec)
+        assert perturbed == [int(seeds[t.reference_index])]
+        assert len(drawn_on) == len(t) - 1
+        assert threading.get_ident() not in drawn_on
 
     def test_mixed_intrinsics_rejected(self):
         other = Intrinsics(fx=90.0, fy=90.0, cx=64.0, cy=48.0, width=128, height=96)
