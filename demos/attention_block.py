@@ -57,10 +57,10 @@ print(f"with cross-value silenced, swapping the ray stream moves video by "
 # fixed and reads only ray_out. Each output's cross-attention and
 # feed-forward run when its tokens are first read, so a discarded video_out
 # costs no stage 2. The held video, passed as the same object with the same
-# params, runs its stage 1 and projects its stage-2 side (keys and values
-# under the ray branch, plus queries under the video branch once video_out
-# is read) once per Euler run, and the run matches one that builds a fresh
-# video sequence every step
+# params, runs its stage 1 and projects its keys and values under the ray
+# branch once per Euler run; its queries under the video branch are not
+# kept, so a step that reads video_out projects them again. The run matches
+# one that builds a fresh video sequence every step
 from raxelkit import attention, euler_sample
 
 ran = {"stage 1": 0, "stage 2": 0}

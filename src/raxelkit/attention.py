@@ -40,18 +40,19 @@ Sequences and parameter sets hold read-only arrays by ``geometry``'s
 array rule: any input but memory the library froze is copied once and
 frozen, and the stored array is a view that cannot be made writeable
 again; sublayers pass their fresh tokens frozen, so they are kept. That
-makes anything computed from one sequence and one
-parameter set a function of the two objects alone, so each sequence has
-one kept-state slot for one parameter set: ``dsca_block`` keeps a stream's
-stage 1 (offset add plus self-attention) there, and ``cross_attention``
-keeps a sequence's projections there (its normalized, rotated queries,
-and its keys and values, under the branch that used them). A sampler that
-passes the same stream and parameter set at every step, as it does for
-the stream it holds fixed, computes that stream's stage 1 and, on that
-output, its stage-2 projections once. The parameter set is held weakly,
-so the kept state lives exactly as long as the sequence it came from; a
-new weight set (``dataclasses.replace`` included) is a new object and
-gets everything computed afresh.
+makes anything computed from one sequence and one parameter set a
+function of the two objects alone, so each sequence has one kept-state
+slot for one parameter set: ``dsca_block`` keeps a stream's stage 1
+(offset add plus self-attention) there, and ``cross_attention`` keeps the
+peer sequence's keys and values there, under the branch that used them.
+A sampler that passes the same stream and parameter set at every step, as
+it does for the stream it holds fixed, computes that stream's stage 1
+and, on that output, the keys and values the other stream reads, once.
+Queries are not kept, since a fresh stage-1 output is new at every step.
+The parameter set is held weakly, so the kept state lives exactly as
+long as the sequence it came from; a new weight set
+(``dataclasses.replace`` included) is a new object and gets everything
+computed afresh.
 """
 
 from __future__ import annotations
@@ -407,9 +408,9 @@ def cross_attention(
     only contributes token features and positions. Residual added to the
     query sequence; output keeps the query modality.
 
-    The queries are kept on the query sequence and the keys and values on
-    the peer sequence, for this params object and branch, so a sequence
-    passed again (a held stream's stage-1 output) is projected once.
+    The keys and values are kept on the peer sequence, for this params
+    object and branch, so a peer passed again (a held stream's stage-1
+    output) is projected once; the queries are projected at every call.
     """
     if queries_from.d_model != keys_values_from.d_model:
         raise ShapeMismatchError(
@@ -428,8 +429,7 @@ def cross_attention(
         """The layer-normalized tokens and the rotary table of the positions."""
         return _layer_norm(seq.tokens, branch.gain_cross), _rope_table(head_dim, seq.positions)
 
-    q = _kept(queries_from, params, ("cross_query", modality),
-              lambda: _queries(*normalized(queries_from), branch.cross_query, heads))
+    q = _queries(*normalized(queries_from), branch.cross_query, heads)
     k, v = _kept(keys_values_from, params, ("cross_key_value", modality),
                  lambda: _keys_values(*normalized(keys_values_from),
                                       branch.cross_key, branch.cross_value, heads))
@@ -504,8 +504,8 @@ def dsca_block(
 
     A stream passed again with the same params object (a held stream
     across sampler steps) reuses its stage 1 from the earlier call, and
-    with it the stage-2 projections of that stage-1 output: its queries
-    under its own branch and its keys and values under the peer branch.
+    with it the keys and values of that stage-1 output under the peer
+    branch. Its own output's queries are projected at each read.
     """
     if video.modality is not Modality.VIDEO or ray.modality is not Modality.RAY:
         raise ValueError("dsca_block expects (video, ray) sequences in that order")

@@ -39,8 +39,10 @@ from .evaluation import (
     reverse_trajectory,
 )
 from .geometry import Intrinsics, Pose, canonicalize
-from .rays import GridKind, RayGrid, encode_plucker, encode_raxel, encode_raymap, ray_grid
-from .registration import _as_point_set, register
+from .rays import (
+    GridKind, LazyGrids, RayGrid, encode_plucker, encode_raxel, encode_raymap, ray_grid,
+)
+from .registration import _as_point_set, _require_finite, register
 
 CSV_HEADER = (
     "kind,frames,magnitude,seed,"
@@ -119,31 +121,36 @@ def cmd_encode(args) -> None:
 def _detect_reference(images, width: int, height: int) -> int:
     """Position of the image that looks most like an un-moved camera.
 
-    Reads each element of the sized sequence ``images`` once. For each
+    A single image is the reference, unread and unscored. Otherwise reads
+    each element of the sized sequence ``images`` once. For each
     candidate, recover a focal length under the identity-pose assumption,
     synthesize the ideal identity ray grid for it, and measure the
     registration residual; the true reference frame fits near-exactly.
-    A candidate that fails as a frame can (``FRAME_FAILURES``) is skipped.
-    When every candidate fails, raises a RaxelkitError chained from the
-    first candidate's failure, so non-finite pixels exit 2 and degenerate
-    geometry exits 4. A ShapeMismatchError fails the detection: image
-    dimensions that do not fit the grid, or a grid with too few pixels to
-    register, which is refused before its focal vote.
+    A candidate that fails as a frame can (``FRAME_FAILURES``) is skipped,
+    a non-finite one before its focal vote. When every candidate fails,
+    raises a RaxelkitError chained from the first candidate's failure, so
+    non-finite pixels exit 2 and degenerate geometry exits 4. A
+    ShapeMismatchError fails the detection: image dimensions that do not
+    fit the grid, or a grid with too few pixels to register, which is
+    refused before its focal vote.
     """
+    if len(images) == 1:
+        return 0
     best_pos, best_residual, first_failure = None, np.inf, None
     identity = Pose.identity()
     for pos, image in enumerate(images):
         # registration's source, the identity grid, has as many points as
         # the image; at the default size a 1-pixel grid's focal vote fails
         # first, as degenerate geometry
-        _as_point_set(image.data.reshape(-1, 3), "source")
+        points = _as_point_set(image.data.reshape(-1, 3), "source")
         try:
+            _require_finite(points, "target")
             fx, fy, _ = recover_focal(image, identity, width, height)
             intr = Intrinsics(
                 fx=fx, fy=fy, cx=width / 2.0, cy=height / 2.0, width=width, height=height
             )
             grid = ray_grid(intr)
-            result = register(image.data.reshape(-1, 3), grid.reshape(-1, 3))
+            result = register(points, grid.reshape(-1, 3))
         except FRAME_FAILURES as err:
             # kept without its traceback, whose frames hold this candidate's arrays
             first_failure = first_failure or err.with_traceback(None)
@@ -157,29 +164,19 @@ def _detect_reference(images, width: int, height: int) -> int:
     return best_pos
 
 
-class _GridFiles:
-    """A directory's grid files, in frame-index order, as a sized sequence:
-    element k is loaded when it is read and checked against the header the
-    first pass read, so no grid outlives its reader's use of it. A file whose
-    header changed in between is a ValueError that names it."""
-
-    def __init__(self, files: list[tuple[rkio.GridHeader, str]]):
-        self._files = files
-
-    def __len__(self) -> int:
-        return len(self._files)
-
-    def __getitem__(self, k: int) -> RayGrid:
-        header, path = self._files[k]
-        grid, frame_index = rkio.load_raxel(path)
-        now = (grid.height_r, grid.width_r, frame_index)
-        if now != header:
-            raise ValueError(
-                f"{path} changed during the decode: its header now states grid "
-                f"{now[:2]} and frame {frame_index}, not grid {header[:2]} and "
-                f"frame {header.frame_index}"
-            )
-        return grid
+def _load_checked(header: rkio.GridHeader, path: str) -> RayGrid:
+    """The grid file at ``path``, checked against the ``header`` that the
+    first pass read: a file whose header changed in between is a ValueError
+    that names it."""
+    grid, frame_index = rkio.load_raxel(path)
+    now = (grid.height_r, grid.width_r, frame_index)
+    if now != header:
+        raise ValueError(
+            f"{path} changed during the decode: its header now states grid "
+            f"{now[:2]} and frame {frame_index}, not grid {header[:2]} and "
+            f"frame {header.frame_index}"
+        )
+    return grid
 
 
 def cmd_decode(args) -> None:
@@ -202,7 +199,7 @@ def cmd_decode(args) -> None:
             raise ShapeMismatchError(
                 f"frame {header.frame_index} grid {header[:2]} differs from {shape}"
             )
-    images = _GridFiles(files)
+    images = LazyGrids(len(files), lambda k: _load_checked(*files[k]))
 
     width = args.width if args.width is not None else 2 * shape[1]
     height = args.height if args.height is not None else 2 * shape[0]
@@ -344,6 +341,8 @@ def cmd_bench(args) -> None:
     # --seeds 0 computes no cell: it checks and rewrites a finished file
     if args.seeds < 0:
         raise ValueError(f"seed count {args.seeds} is negative")
+    if args.frames < 2:
+        raise ValueError(f"--frames {args.frames} is under 2, the fewest a cycle can score")
     if args.seeds == 0 and not os.path.exists(args.out):
         raise ValueError(f"--seeds 0 computes no cell and {args.out} does not exist yet")
     settings = (args.noise_kind, str(args.width), str(args.height),

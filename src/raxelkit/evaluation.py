@@ -8,9 +8,12 @@ Clean inputs round-trip to within floating-point error; the perturbed
 error curves are what the benchmark sweep records. The re-encode residual,
 the distance between the decoded frames' raxel images and the clean ones,
 is computed in closed form from the two poses and the separable ray grids,
-without building either image. Under gaussian noise the harness draws the
-next frame's noise on one worker thread while the current frame decodes;
-each frame keeps its own seed, so the bits are those of ``perturb``.
+without building either image. The decode reads the damaged grids from a
+``rays.LazyGrids``, which encodes and perturbs one frame per read. Under
+gaussian noise the harness draws the next frame's noise on one worker
+thread while the current frame decodes; each frame keeps its own seed, so
+the bits are those of ``perturb``. A trajectory of fewer than 2 frames
+is refused before any work, since its mRRA has no frame pair.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .geometry import (
     canonicalize,
     rotation_angle,
 )
-from .rays import RayGrid, TrajectoryRaxels, _ray_factors
+from .rays import LazyGrids, RayGrid, _frame_raxels, _ray_factors
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -261,11 +264,11 @@ def _add_scaled_noise(noise: np.ndarray, sigma: float, image: RayGrid) -> RayGri
     return RayGrid(_freeze(noise), image.kind)
 
 
-class _DamagedFrames:
-    """The damaged raxel grids of a canonical trajectory as a sized sequence:
-    element k is frame k's clean grid, read from a ``TrajectoryRaxels`` of
-    the frames, perturbed with its own seed, so no grid outlives its
-    reader's use of it.
+def _damaged_frames(
+    canonical: Trajectory, spec: PerturbationSpec, pool: ThreadPoolExecutor
+) -> LazyGrids:
+    """The damaged raxel grids of a canonical trajectory: element k is frame
+    k's clean grid, encoded when it is read, perturbed with its own seed.
 
     Under gaussian noise, reading element k also starts the standard normal
     draw of the element that ``decode_trajectory`` reads next (the
@@ -275,40 +278,36 @@ class _DamagedFrames:
     numpy alone, never a public function of this package, since the span
     tracer of ``perfbench`` keeps one span stack for all threads. The grids
     equal ``perturb``'s bit for bit."""
+    clean = _frame_raxels(canonical.frames)
+    seeds = np.random.SeedSequence(spec.seed).generate_state(len(clean))
+    ref = canonical.reference_index
+    order = [ref] + [k for k in range(len(clean)) if k != ref]
+    read_next = dict(zip(order, order[1:]))
+    draw = None  # (position, future of its noise buffer)
 
-    def __init__(self, canonical: Trajectory, spec: PerturbationSpec, pool: ThreadPoolExecutor):
-        self._clean = TrajectoryRaxels(canonical.frames)
-        self._seeds = np.random.SeedSequence(spec.seed).generate_state(len(self._clean))
-        self._spec = spec
-        self._pool = pool if spec.kind is PerturbationKind.GAUSSIAN_PER_PIXEL else None
-        ref = canonical.reference_index
-        order = [ref] + [k for k in range(len(self._clean)) if k != ref]
-        self._read_next = dict(zip(order, order[1:]))
-        self._draw = None  # (position, future of its noise buffer)
-
-    def __len__(self) -> int:
-        return len(self._clean)
-
-    def __getitem__(self, k: int) -> RayGrid:
-        clean = self._clean[k]
-        draw, self._draw = self._draw, None
-        noise = draw[1].result() if draw is not None else None  # read even if unused
-        if draw is not None and draw[0] == k:
-            grid = _add_scaled_noise(noise, self._spec.magnitude, clean)
+    def read(k: int) -> RayGrid:
+        nonlocal draw
+        grid = clean[k]
+        pending, draw = draw, None
+        noise = pending[1].result() if pending is not None else None  # read even if unused
+        if pending is not None and pending[0] == k:
+            damaged = _add_scaled_noise(noise, spec.magnitude, grid)
         else:
-            grid = perturb(clean, replace(self._spec, seed=int(self._seeds[k])))
-        following = self._read_next.get(k)
-        if self._pool is not None and following is not None:
-            rng = np.random.default_rng(int(self._seeds[following]))
-            buffer = np.empty(clean.data.shape)
-            self._draw = (following, self._pool.submit(rng.standard_normal, out=buffer))
-        return grid
+            damaged = perturb(grid, replace(spec, seed=int(seeds[k])))
+        following = read_next.get(k)
+        if spec.kind is PerturbationKind.GAUSSIAN_PER_PIXEL and following is not None:
+            rng = np.random.default_rng(int(seeds[following]))
+            buffer = np.empty(grid.data.shape)
+            draw = (following, pool.submit(rng.standard_normal, out=buffer))
+        return damaged
+
+    return LazyGrids(len(clean), read)
 
 
 def _clean_frame_overflows(canonical: Trajectory, pos: int) -> bool:
     """Whether frame ``pos``'s clean grid is too large to register against
     the clean reference grid."""
-    clean = TrajectoryRaxels(canonical.frames)
+    clean = _frame_raxels(canonical.frames)
     try:
         recover_pose(clean[pos], clean[canonical.reference_index])
     except NonFiniteInputError:
@@ -321,7 +320,8 @@ def _clean_frame_overflows(canonical: Trajectory, pos: int) -> bool:
 def cycle_consistency_run(
     ground_truth: Trajectory, spec: PerturbationSpec
 ) -> tuple[PoseErrorReport, float, float]:
-    """Encode, perturb, decode, and re-encode one trajectory.
+    """Encode, perturb, decode, and re-encode one trajectory of at least 2
+    frames; a shorter one is a TooFewFramesError before any work.
 
     Each frame's perturbation seed is derived from ``spec.seed``, so the
     run is deterministic regardless of evaluation order. The run holds one
@@ -339,6 +339,11 @@ def cycle_consistency_run(
     non-finite, or too large to register, are reported first and name it,
     unless the clean grid is already too large, which names the trajectory.
     """
+    if len(ground_truth) < 2:
+        # refused before any work: the mRRA compares frame pairs
+        raise TooFewFramesError(
+            f"cycle consistency needs at least 2 frames, got {len(ground_truth)}"
+        )
     intr = ground_truth.frames[0].intrinsics
     for f in ground_truth.frames:
         if f.intrinsics != intr:
@@ -357,7 +362,7 @@ def cycle_consistency_run(
         # leaving the block joins the worker, also when the decode raises
         with ThreadPoolExecutor(max_workers=1) as pool:
             decoded, failures = decode_trajectory(
-                _DamagedFrames(canonical, spec, pool), canonical.reference_index, *image
+                _damaged_frames(canonical, spec, pool), canonical.reference_index, *image
             )
     except NonFiniteInputError as err:
         raise NonFiniteInputError(f"{damage} produced non-finite pixels: {err}") from err

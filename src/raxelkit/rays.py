@@ -16,9 +16,9 @@ rays ``d_cam`` of ``ray_grid`` (which caches one grid). Each is a
 ``evaluation.perturb`` and ``io.load_raxel`` hand it frozen arrays, which
 it keeps uncopied.
 
-``encode_trajectory_raxels`` returns a trajectory's raxel images as a
-``TrajectoryRaxels`` sequence, which encodes frame k each time element k
-is read, so a reader that takes one frame at a time holds one grid.
+``LazyGrids`` is the sequence of grids made on read, which
+``encode_trajectory_raxels``, the CLI's decode and the cycle harness use:
+a reader that takes one frame at a time holds one grid.
 
 The ray grid lives at half the frame resolution: raxel pixel (i, j)
 corresponds to the full-resolution continuous coordinate (u, v) =
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 import operator
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -175,25 +175,29 @@ def encode_raymap(frame: CameraFrame, pose_rel: Pose) -> RayGrid:
     return RayGrid(_freeze(_encode(ray_grid(frame.intrinsics), pose_rel, kind)), kind)
 
 
-class TrajectoryRaxels(Sequence):
-    """The raxel images of canonical frames as a read-only sized sequence:
-    element k is frame k encoded at its own pose when it is read, so no
-    grid outlives its reader's use of it. Each read encodes again, and
-    ``list(...)`` holds every grid."""
+class LazyGrids(Sequence):
+    """A read-only sized sequence of ``count`` grids whose element k is
+    ``read(k)``, called on every read with k in ``range(count)`` (negative
+    indices counted from the end), so no grid outlives its reader's use of
+    it. Each read makes the grid again, and ``list(...)`` holds every grid."""
 
-    def __init__(self, frames: Sequence[CameraFrame]):
-        self._frames = tuple(frames)
+    def __init__(self, count: int, read: Callable[[int], RayGrid]):
+        self._positions = range(count)
+        self._read = read
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._positions)
 
     def __getitem__(self, k: int) -> RayGrid:
-        frame = self._frames[operator.index(k)]
-        return encode_raxel(frame, frame.pose)
+        return self._read(self._positions[operator.index(k)])
 
 
-def encode_trajectory_raxels(trajectory: Trajectory) -> TrajectoryRaxels:
+def _frame_raxels(frames: Sequence[CameraFrame]) -> LazyGrids:
+    """The raxel images of canonical ``frames``, each encoded when read."""
+    return LazyGrids(len(frames), lambda k: encode_raxel(frames[k], frames[k].pose))
+
+
+def encode_trajectory_raxels(trajectory: Trajectory) -> LazyGrids:
     """Canonicalize to the trajectory's reference index, now, and return
     the frames' raxel images, each encoded when it is read."""
-    canonical = canonicalize(trajectory, trajectory.reference_index)
-    return TrajectoryRaxels(canonical.frames)
+    return _frame_raxels(canonicalize(trajectory, trajectory.reference_index).frames)

@@ -690,10 +690,11 @@ class TestHeldStreamReuse:
     @staticmethod
     def check_held_video_projections(monkeypatch, read_video):
         # the held video's stage-1 output is normalized for its keys and
-        # values (ray branch) and, when video_out is read, for its queries
-        # (video branch), in the first step only; a replaced params object
-        # starts again
+        # values (ray branch) in the first step only and, when video_out is
+        # read, for its queries (video branch) at every step, since queries
+        # are not kept; a replaced params object starts again
         sides = 2 if read_video else 1
+        held_count = 9 if read_video else 1
         params = init_dsca_params(3, GEN_D_MODEL, GEN_HEADS)
         positions = generate_positions()
         video_tokens, x_init = generate_inputs()
@@ -716,12 +717,27 @@ class TestHeldStreamReuse:
         held = TokenSeq(video_tokens, positions, Modality.VIDEO)
         assert np.array_equal(generate_run(params, lambda: held, x_init, read_video), fresh)
         gains = [params.video.gain_cross, params.ray.gain_cross][2 - sides:]
-        assert len(normalized) == sides
+        gains += [params.video.gain_cross] * (held_count - sides)
+        assert len(normalized) == held_count
         assert all(got is want for got, want in zip(normalized, gains))
         normalized.clear()
         replaced = dataclasses.replace(params)
         assert np.array_equal(generate_run(replaced, lambda: held, x_init, read_video), fresh)
-        assert len(normalized) == sides
+        assert len(normalized) == held_count
+
+    def test_fresh_stage1_output_keeps_nothing_when_only_the_other_output_is_read(self):
+        # a sampler that holds the video reads only ray_out: the ray stream
+        # keeps its stage 1, the video's stage-1 output keeps its keys and
+        # values under the ray branch, and the fresh ray stage-1 output,
+        # whose queries ray_out used, keeps nothing
+        params = make_params(69)
+        video, ray = make_seq(70, 4, Modality.VIDEO), make_seq(71, 5, Modality.RAY)
+        _, ray_out = dsca_block(video, ray, params)
+        ray_out.tokens
+        video_1, ray_1 = video._kept_state[1]["stage1"], ray._kept_state[1]["stage1"]
+        assert set(ray._kept_state[1]) == {"stage1"}
+        assert set(video_1._kept_state[1]) == {("cross_key_value", Modality.RAY)}
+        assert ray_1._kept_state is None
 
     def test_held_ray_stream_reuses_its_stage1(self, monkeypatch):
         params = make_params(61)

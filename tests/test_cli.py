@@ -5,12 +5,13 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from raxelkit import cli
+from raxelkit import cli, evaluation, rays
 from raxelkit import io as rkio
 from raxelkit.cli import main
 from raxelkit.errors import (
@@ -26,7 +27,7 @@ from raxelkit.geometry import (
     Intrinsics, Trajectory, canonicalize, compose, geodesic_rotation_distance, inverse,
 )
 from raxelkit.io import load_raxel, load_trajectory, save_raxel, save_trajectory
-from raxelkit.rays import RayGrid, TrajectoryRaxels, ray_grid
+from raxelkit.rays import RayGrid, ray_grid
 
 
 def run(*argv):
@@ -409,6 +410,44 @@ def test_grids_too_small_to_register_are_a_usage_error(tmp_path, capsys, command
     assert not out.exists()
 
 
+def test_decode_takes_a_single_frame_as_the_reference_unscored(tmp_path):
+    # one 1x1 grid: too few points to register, which one frame never needs
+    _, grids = _synth_encode(tmp_path, frames=1, width=3, height=3)
+    auto, explicit = tmp_path / "auto.traj", tmp_path / "explicit.traj"
+    assert run("decode", grids, auto, "--width", 3, "--height", 3) == 0
+    assert run("decode", grids, explicit, "--width", 3, "--height", 3, "--reference", 0) == 0
+    assert _read(auto) == _read(explicit)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf], ids=["+inf", "-inf"])
+@pytest.mark.parametrize("width, height, code, detected", [
+    (64, 48, 0, "warning: frame 2 failed: target contains non-finite coordinates\n"),
+    # a 1-wide grid: every pixel sits on cx, so no candidate has a focal
+    (2, 6, 4, "error: no frame can be the reference; the first candidate failed: "
+              "focal inlier fractions 0.000/0.667 below 0.1\n"),
+], ids=["64x48", "2x6"])
+def test_auto_detection_skips_an_infinite_pixel_without_a_warning(
+        tmp_path, capsys, value, width, height, code, detected):
+    # detection refuses the non-finite candidate before its focal vote,
+    # whose products would warn "invalid value" out of main; the decode
+    # exits as it does with --reference 0
+    _, grids = _synth_encode(tmp_path, width=width, height=height)
+    path = str(grids / "frame_2.rxl")
+    image, index = load_raxel(path)
+    data = image.data.copy()
+    data[-1, -1, 1] = value
+    save_raxel(path, RayGrid(data), index)
+    auto, explicit = tmp_path / "auto.traj", tmp_path / "explicit.traj"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("decode", grids, auto) == code
+        assert capsys.readouterr().err.startswith(detected)
+        assert run("decode", grids, explicit, "--reference", 0) == code
+    if code == 0:
+        assert _read(auto) == _read(explicit)
+
+
 def test_decode_respects_explicit_dims(tmp_path):
     traj, grids = _synth_encode(tmp_path)
     out = tmp_path / "p.traj"
@@ -657,6 +696,24 @@ def test_bench_zero_seeds_rewrites_only_an_existing_file(tmp_path, capsys):
     assert _read(csv) == first
 
 
+@pytest.mark.parametrize("command", ["bench", "roundtrip"])
+def test_one_frame_cycle_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    traj, csv = tmp_path / "t.traj", tmp_path / "b.csv"
+    run("synth", "orbit", 1, traj, "--width", 64, "--height", 48)
+    decodes = []
+    monkeypatch.setattr(evaluation, "decode_trajectory", lambda *args: decodes.append(args))
+    capsys.readouterr()
+    if command == "bench":
+        argv = ("bench", "--out", csv, *BENCH_ARGS, "--frames", 1)
+        message = "error: --frames 1 is under 2, the fewest a cycle can score\n"
+    else:
+        argv = ("roundtrip", traj, "--csv", csv)
+        message = "error: cycle consistency needs at least 2 frames, got 1\n"
+    assert run(*argv) == 2
+    assert capsys.readouterr().err == message
+    assert not csv.exists() and decodes == []
+
+
 def test_bench_keeps_the_cells_before_a_failed_one(tmp_path, monkeypatch):
     csv, whole = tmp_path / "b.csv", tmp_path / "whole.csv"
     cell = ("--kinds", "orbit", "--seeds", 1, "--frames", 5, "--width", 64, "--height", 48)
@@ -702,15 +759,15 @@ def _threads_at_each_read(monkeypatch, interrupted_read=None):
     ``interrupted_read``; returns the list of recorded thread sets."""
     before = set(threading.enumerate())
     seen = []
-    read = TrajectoryRaxels.__getitem__
+    read = rays.encode_raxel
 
-    def recording(self, k):
+    def recording(frame, pose_rel):
         seen.append(set(threading.enumerate()) - before)
         if len(seen) == interrupted_read:
             raise KeyboardInterrupt
-        return read(self, k)
+        return read(frame, pose_rel)
 
-    monkeypatch.setattr(TrajectoryRaxels, "__getitem__", recording)
+    monkeypatch.setattr(rays, "encode_raxel", recording)
     return seen
 
 

@@ -568,6 +568,19 @@ class TestCycleConsistency:
         assert len(drawn_on) == len(t) - 1
         assert threading.get_ident() not in drawn_on
 
+    def test_one_frame_cycle_is_refused_before_any_work(self, monkeypatch):
+        t = generate_trajectory(TrajectoryKind.ORBIT, 1, INTR)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the cycle did work on a 1-frame trajectory")
+
+        monkeypatch.setattr(evaluation, "canonicalize", never)
+        monkeypatch.setattr(evaluation, "decode_trajectory", never)
+        spec = PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.01)
+        with pytest.raises(TooFewFramesError,
+                           match="^cycle consistency needs at least 2 frames, got 1$"):
+            cycle_consistency_run(t, spec)
+
     def test_mixed_intrinsics_rejected(self):
         other = Intrinsics(fx=90.0, fy=90.0, cx=64.0, cy=48.0, width=128, height=96)
         frames = (

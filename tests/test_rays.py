@@ -21,11 +21,11 @@ from raxelkit.geometry import (
 )
 from raxelkit.rays import (
     GridKind,
+    LazyGrids,
     RayGrid,
     encode_plucker,
     encode_raxel,
     encode_raymap,
-    TrajectoryRaxels,
     encode_trajectory_raxels,
     grid_pixel_coordinates,
     ray_grid,
@@ -246,7 +246,7 @@ class TestTrajectoryEncoding:
         images = encode_trajectory_raxels(traj)
         canonical = canonicalize(traj, 3)
         expected = [encode_raxel(f, f.pose) for f in canonical.frames]
-        assert isinstance(images, TrajectoryRaxels) and len(images) == 5
+        assert isinstance(images, LazyGrids) and len(images) == 5
         assert images[-1].data.tobytes() == expected[4].data.tobytes()
         assert images[-5].data.tobytes() == expected[0].data.tobytes()
         for past_the_end in (5, -6):
