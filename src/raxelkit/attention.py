@@ -30,11 +30,22 @@ All parameters are plain numpy arrays; there is no training code. The
 seeded initializer exists so tests and demos are reproducible.
 
 The attention core projects queries, keys and values for all heads at
-once, then runs one head at a time through a single (n_q, n_kv) score
-buffer. The queries are scaled by 1/sqrt(head_dim) before the score
-product, and the softmax is normalized after the value product: the row
-sums divide the (n_q, head_dim) result rather than the weights. Both
-differ from the plain formulas by a few ulp.
+once, then runs one block of query rows at a time, each head of it
+through a single (block, n_kv) score buffer. The queries are scaled by
+1/sqrt(head_dim) before the score product, and the softmax is normalized
+after the value product: the row sums divide the (block, head_dim) result
+rather than the weights. Both differ from the plain formulas by a few
+ulp. The feed-forward runs per row block too, so neither the (n, n)
+scores nor the (n, d_ff) hidden array is built.
+
+Every BLAS call follows ``geometry``'s one-thread rule: the projections,
+the score, value and output products and both feed-forward matmuls run
+in row blocks from ``geometry._one_thread_blocks``, each at most
+``_GEMM_ONE_THREAD`` (1.0M) multiply-adds with a C-contiguous right
+operand, so OpenBLAS never wakes its thread pool. On the ``generate``
+shapes (384 tokens, d_model 96, 4 heads, d_ff 384) that is 96-row blocks
+for the projections and the attention core and 26-row blocks for the
+feed-forward. Each block gives the bits one whole product gives.
 
 Sequences and parameter sets hold read-only arrays by ``geometry``'s
 array rule: any input but memory the library froze is copied once and
@@ -64,7 +75,13 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ShapeMismatchError
-from .geometry import _freeze, _PickledAsConstructorCall, _read_only
+from .geometry import (
+    _GEMM_ONE_THREAD,
+    _freeze,
+    _one_thread_blocks,
+    _PickledAsConstructorCall,
+    _read_only,
+)
 
 ROPE_BASE = 10000.0
 LAYERNORM_EPS = 1e-6
@@ -317,15 +334,18 @@ def _split_heads(x: np.ndarray, head_count: int) -> np.ndarray:
     return x.reshape(n, head_count, d // head_count).transpose(1, 0, 2)
 
 
-def _merge_heads(x: np.ndarray) -> np.ndarray:
-    h, n, hd = x.shape
-    return x.transpose(1, 0, 2).reshape(n, h * hd)
+def _project(h: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``h @ w`` in row blocks that each stay on the calling thread."""
+    out = np.empty((h.shape[0], w.shape[1]))
+    for rows in _one_thread_blocks(h.shape[0], (w.shape[0] * w.shape[1], _GEMM_ONE_THREAD)):
+        np.matmul(h[rows], w, out=out[rows])
+    return out
 
 
 def _queries(h: np.ndarray, table, w_query: np.ndarray, head_count: int) -> np.ndarray:
     """Rotated (heads, n, head_dim) queries, already scaled by
     1/sqrt(head_dim) so the scores come out of ``q @ k.T`` scaled."""
-    q = _rotate_pairs(_split_heads(h @ w_query, head_count), *table)
+    q = _rotate_pairs(_split_heads(_project(h, w_query), head_count), *table)
     q *= 1.0 / np.sqrt(q.shape[2])
     return _freeze(q)
 
@@ -334,8 +354,8 @@ def _keys_values(
     h: np.ndarray, table, w_key: np.ndarray, w_value: np.ndarray, head_count: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rotated keys and values, each a C-contiguous (heads, n, head_dim)."""
-    k = _rotate_pairs(_split_heads(h @ w_key, head_count), *table)
-    v = np.ascontiguousarray(_split_heads(h @ w_value, head_count))
+    k = _rotate_pairs(_split_heads(_project(h, w_key), head_count), *table)
+    v = np.ascontiguousarray(_split_heads(_project(h, w_value), head_count))
     return _freeze(k), _freeze(v)
 
 
@@ -343,23 +363,42 @@ def _attend_heads(q: np.ndarray, k: np.ndarray, v: np.ndarray, w_output: np.ndar
     """Softmax attention of projected queries over projected keys and
     values, then the output projection.
 
-    One head at a time through one reused (n_q, n_kv) score buffer: the
-    exponentials are left unnormalized, and their row sums divide the small
-    (n_q, head_dim) product instead of the (n_q, n_kv) weights.
+    One block of query rows at a time, every head of it through one reused
+    (block, n_kv) score buffer, with blocks small enough that the score,
+    value and output products each stay on the calling thread. The keys
+    are copied once to (heads, head_dim, n_kv), since OpenBLAS threads a
+    product with a transposed right operand such as ``k[h].T`` at half the
+    size. The exponentials are left unnormalized, and their row sums
+    divide the small (block, head_dim) product instead of the (block,
+    n_kv) weights; a block's heads are merged in place and projected
+    before the next block.
     """
     heads, n_q, head_dim = q.shape
-    scores = np.empty((n_q, k.shape[1]))
-    rows = np.empty((n_q, 1))
-    out = np.empty((heads, n_q, head_dim))
-    for h in range(heads):
-        np.matmul(q[h], k[h].T, out=scores)
-        np.max(scores, axis=1, keepdims=True, out=rows)
-        scores -= rows
-        np.exp(scores, out=scores)
-        np.sum(scores, axis=1, keepdims=True, out=rows)
-        np.matmul(scores, v[h], out=out[h])
-        out[h] /= rows
-    return _merge_heads(out) @ w_output
+    n_kv, width = k.shape[1], heads * head_dim
+    keys = k.transpose(0, 2, 1).copy()
+    # per row, the score and the value product are head_dim * n_kv
+    # multiply-adds each, the output projection width * d_out
+    blocks = _one_thread_blocks(n_q, (head_dim * n_kv, _GEMM_ONE_THREAD),
+                                (width * w_output.shape[1], _GEMM_ONE_THREAD))
+    most = blocks[0].stop
+    scores = np.empty((most, n_kv))
+    sums = np.empty((most, 1))
+    merged = np.empty((most, width))
+    out = np.empty((n_q, w_output.shape[1]))
+    for rows in blocks:
+        m = rows.stop - rows.start
+        s, r = scores[:m], sums[:m]
+        for h in range(heads):
+            head = merged[:m, h * head_dim:(h + 1) * head_dim]
+            np.matmul(q[h, rows], keys[h], out=s)
+            np.maximum.reduce(s, axis=1, keepdims=True, out=r)
+            s -= r
+            np.exp(s, out=s)
+            np.add.reduce(s, axis=1, keepdims=True, out=r)
+            np.matmul(s, v[h], out=head)
+            head /= r
+        np.matmul(merged[:m], w_output, out=out[rows])
+    return out
 
 
 def _kept(seq: TokenSeq, params: DscaBlockParams, key, compute):
@@ -453,9 +492,20 @@ def _gelu(x: np.ndarray) -> np.ndarray:
 
 
 def _feed_forward(seq: TokenSeq, branch: BranchParams) -> TokenSeq:
-    h = _layer_norm(seq.tokens, branch.gain_ff)
-    out = _gelu(h @ branch.ff_in) @ branch.ff_out
-    return TokenSeq(_freeze(seq.tokens + out), seq.positions, seq.modality)
+    """Layer norm, ``ff_in``, GELU, ``ff_out`` and the residual, one row
+    block at a time, so no (n, d_ff) hidden array is built; ``ff_in`` and
+    ``ff_out`` each stay on the calling thread."""
+    x = seq.tokens
+    d_model, d_ff = branch.ff_in.shape
+    blocks = _one_thread_blocks(x.shape[0], (d_model * d_ff, _GEMM_ONE_THREAD))
+    hidden = np.empty((blocks[0].stop, d_ff))
+    out = np.empty(x.shape)
+    for rows in blocks:
+        h = hidden[: rows.stop - rows.start]
+        np.matmul(_layer_norm(x[rows], branch.gain_ff), branch.ff_in, out=h)
+        np.matmul(_gelu(h), branch.ff_out, out=out[rows])
+        out[rows] += x[rows]
+    return TokenSeq(_freeze(out), seq.positions, seq.modality)
 
 
 def _stage1(seq: TokenSeq, params: DscaBlockParams) -> TokenSeq:

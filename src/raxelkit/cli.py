@@ -27,6 +27,7 @@ from .errors import (
     InsufficientInliersError,
     RaxelkitError,
     ShapeMismatchError,
+    TooFewFramesError,
 )
 from .evaluation import (
     PerturbationKind,
@@ -286,6 +287,11 @@ def cmd_metrics(args) -> None:
         missing, extra = sorted(set(want) - set(have)), sorted(set(have) - set(want))
         detail = f"missing {missing}, extra {extra}" if missing or extra else "in another order"
         raise ValueError(f"predicted frame indices differ from the ground truth's: {detail}")
+    if len(ground_truth) < 2:
+        # refused before any line is printed: the mRRA compares frame pairs
+        raise TooFewFramesError(
+            f"{args.ground_truth} has {len(ground_truth)} frame; mRRA needs at least 2 frames"
+        )
     predicted = canonicalize(predicted, ground_truth.reference_index)
     ground_truth = canonicalize(ground_truth, ground_truth.reference_index)
     report = pose_errors(predicted, ground_truth)

@@ -14,9 +14,12 @@ through the constructor, which applies the rule again. Both store a view
 over the frozen memory, never the array that owns it, so setting a stored
 array's ``writeable`` flag raises rather than reopening it to writes.
 
-``_row_blocks`` is the package's one rule for BLAS products over per-pixel
-arrays: they run in blocks of ``_BLOCK_ROWS`` rows, each small enough to
-stay on the calling thread.
+It holds the package's one rule for BLAS calls too: every product runs
+on the calling thread, so OpenBLAS never wakes its thread pool. A call too
+large for that is cut into row blocks: ``_row_blocks`` gives blocks of
+``_BLOCK_ROWS`` rows over per-pixel arrays, and ``_one_thread_blocks``
+sizes them from a call's shape against the measured limits
+``_GEMM_ONE_THREAD`` and ``_DOT_ONE_THREAD``.
 """
 
 from __future__ import annotations
@@ -79,18 +82,44 @@ class _PickledAsConstructorCall:
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-# Rows per BLAS call over a per-pixel array of 3-vectors. OpenBLAS runs a dot
-# of at most 10000 elements, and the package's gemv and gemm shapes up to
-# several thousand rows, on the calling thread; above that it wakes its thread
-# pool, which then spins on the other cores after every call and takes them
-# from any other thread. Summing per-block partial results also makes the
-# reductions' rounding independent of the pool's size.
+# The largest BLAS calls OpenBLAS runs on the calling thread. Above them it
+# wakes its thread pool, which then spins on the other cores for about 0.1 s
+# after the call and takes them from any other thread. Measured with 2 threads
+# (OpenBLAS 0.3.31, SkylakeX core), one fresh process per shape:
+# - a gemm with a C-contiguous right operand stays up to 1.0M multiply-adds
+#   (100x100x100 and 27x96x384 stay; 101x100x100 and 28x96x384 thread);
+# - a gemm with a transposed right operand, such as ``k[h].T``, only up to
+#   about 0.52M (56x24x384 stays; 57x24x384 and 64x32x256 thread), so
+#   ``attention`` copies its keys to give the score product a C-contiguous one;
+# - a dot or a vector norm up to 10000 elements (10001 threads).
+_GEMM_ONE_THREAD = 1_000_000
+_DOT_ONE_THREAD = 10_000
+
+# Rows per BLAS call over a per-pixel array of 3-vectors: a dot over one block
+# is 9000 elements, and its gemv and gemm shapes are far below the gemm
+# limits. Summing per-block partial results also makes the reductions'
+# rounding independent of the pool's size.
 _BLOCK_ROWS = 3000
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Consecutive slices of at most ``_BLOCK_ROWS`` rows covering ``range(n)``."""
-    return [slice(start, min(start + _BLOCK_ROWS, n)) for start in range(0, n, _BLOCK_ROWS)]
+def _row_blocks(n: int, rows: int = _BLOCK_ROWS) -> list[slice]:
+    """Consecutive slices of at most ``rows`` rows covering ``range(n)``."""
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
+
+
+def _one_thread_blocks(n: int, *products: tuple[int, int]) -> list[slice]:
+    """Row blocks covering ``range(n)`` for BLAS calls that each stay on the
+    calling thread.
+
+    ``products`` holds one ``(cost per row, limit)`` pair per call made on
+    every block, such as ``(inner * cols, _GEMM_ONE_THREAD)`` for a gemm:
+    a block has at most ``limit // cost`` rows for each pair. It takes as
+    few blocks as that allows, of equal size but a smaller last one; a row
+    whose cost alone passes a limit is a block of its own.
+    """
+    most = max(1, min(limit // cost for cost, limit in products))
+    count = max(1, -(-n // most))
+    return _row_blocks(n, max(1, -(-n // count)))
 
 
 def nearest_rotation(matrix: np.ndarray) -> np.ndarray:

@@ -2,11 +2,14 @@
 
 import dataclasses
 import gc
+import os
 import pickle
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -609,6 +612,149 @@ class TestInPlaceKernels:
         v_want, r_want = formula_block(video, ray, params)
         assert np.max(np.abs(v_out.tokens - v_want)) <= 1e-12
         assert np.max(np.abs(r_out.tokens - r_want)) <= 1e-12
+
+
+# ------------------------------------------- BLAS calls on the calling thread
+
+def whole_attend(q, k, v, w_output):
+    """The attention core with one whole-sequence product per step: the
+    scores, softmax and value product of each head over all query rows."""
+    heads, n_q, head_dim = q.shape
+    out = np.empty((heads, n_q, head_dim))
+    for h in range(heads):
+        scores = np.matmul(q[h], k[h].T)
+        scores -= scores.max(axis=1, keepdims=True)
+        np.exp(scores, out=scores)
+        sums = scores.sum(axis=1, keepdims=True)
+        out[h] = np.matmul(scores, v[h])
+        out[h] /= sums
+    return np.matmul(out.transpose(1, 0, 2).reshape(n_q, heads * head_dim), w_output)
+
+
+class TestOneThreadProducts:
+    """On the generate shapes each blocked product gives the bits of one
+    whole ``np.matmul``, so cutting the rows changes no output."""
+
+    def test_projections_equal_one_matmul(self):
+        params = init_dsca_params(5, GEN_D_MODEL, GEN_HEADS)
+        h = np.random.default_rng(70).normal(size=(len(generate_positions()), GEN_D_MODEL))
+        for w in (params.ray.self_query, params.ray.cross_value, params.ray.ff_in):
+            assert np.array_equal(attention._project(h, w), np.matmul(h, w))
+
+    def test_attention_core_equals_whole_products(self):
+        params = init_dsca_params(6, GEN_D_MODEL, GEN_HEADS)
+        branch = params.ray
+        positions = generate_positions()
+        rng = np.random.default_rng(71)
+        q_tokens, kv_tokens = rng.normal(size=(2, len(positions), GEN_D_MODEL))
+        table = _rope_table(GEN_D_MODEL // GEN_HEADS, positions)
+        q = _queries(q_tokens, table, branch.cross_query, GEN_HEADS)
+        k, v = _keys_values(kv_tokens, table, branch.cross_key, branch.cross_value, GEN_HEADS)
+        assert np.array_equal(_attend_heads(q, k, v, branch.cross_output),
+                              whole_attend(q, k, v, branch.cross_output))
+
+    def test_feed_forward_equals_whole_products(self):
+        params = init_dsca_params(7, GEN_D_MODEL, GEN_HEADS)
+        branch = params.video
+        seq = TokenSeq(np.random.default_rng(72).normal(size=(384, GEN_D_MODEL)),
+                       generate_positions(), Modality.VIDEO)
+        hidden = np.matmul(_layer_norm(seq.tokens, branch.gain_ff), branch.ff_in)
+        want = seq.tokens + np.matmul(_gelu(hidden), branch.ff_out)
+        assert np.array_equal(attention._feed_forward(seq, branch).tokens, want)
+
+    def test_core_and_feed_forward_build_no_whole_sequence_array(self):
+        # the row blocks hold a (block, n) score buffer and a (block, d_ff)
+        # hidden array, never the (n, n) scores or the (n, d_ff) hidden array
+        params = init_dsca_params(8, GEN_D_MODEL, GEN_HEADS)
+        branch = params.ray
+        positions = generate_positions()
+        n = len(positions)
+        tokens = np.random.default_rng(73).normal(size=(n, GEN_D_MODEL))
+        table = _rope_table(GEN_D_MODEL // GEN_HEADS, positions)
+        args = (_queries(tokens, table, branch.self_query, GEN_HEADS),
+                *_keys_values(tokens, table, branch.self_key, branch.self_value, GEN_HEADS),
+                branch.self_output)
+        seq = TokenSeq(tokens, positions, Modality.RAY)
+        d_ff = branch.ff_in.shape[1]
+        for call, whole in ((lambda: _attend_heads(*args), n * n * 8),
+                            (lambda: attention._feed_forward(seq, branch), n * d_ff * 8)):
+            call()
+            tracemalloc.start()
+            try:
+                baseline = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - baseline < whole
+
+
+# The generate shapes in a fresh interpreter: an 8-step frozen-reference
+# sample, one dsca_block and the flow loss. Prints their digest, then the CPU
+# seconds that threads other than the caller's (OpenBLAS's pool) used over
+# the sample, after a warm-up sample.
+GENERATE_SCRIPT = """
+import hashlib, time
+import numpy as np
+from raxelkit.attention import Modality, TokenSeq, dsca_block, init_dsca_params
+from raxelkit.flow import FlowBatch, FreezeMask, euler_sample, loss, loss_gradient
+
+slots, patches, d_model = 6, 8, 96
+positions = np.array([(t, i, j) for t in range(slots) for i in range(patches)
+                      for j in range(patches)])
+n, width = len(positions), patches * patches * d_model
+params = init_dsca_params(11, d_model, 4)
+rng = np.random.default_rng(12)
+video = TokenSeq(rng.normal(size=(n, d_model)), positions, Modality.VIDEO)
+x1 = rng.normal(size=n * d_model)
+spans = [(k * width, (k + 1) * width) for k in range(slots)]
+mask = FreezeMask((True,) + (False,) * (slots - 1))
+
+def velocity(x, t):
+    ray = TokenSeq(x.reshape(-1, d_model), positions, Modality.RAY)
+    return (dsca_block(video, ray, params)[1].tokens - ray.tokens).ravel()
+
+def sample(seed):
+    x_init = np.random.default_rng(seed).normal(size=x1.shape)
+    x_init[: width] = x1[: width]
+    x_out = euler_sample(x_init, velocity, 8, mask, spans)
+    batch = FlowBatch(x0=x_init, x1=x1, t=0.5)
+    report = loss(x_out - x_init, batch)
+    return x_out, report, loss_gradient(x_out - x_init, batch)
+
+sample(0)
+time.sleep(0.5)
+others = time.process_time() - time.thread_time()
+x_out, report, grad = sample(1)
+others = time.process_time() - time.thread_time() - others
+ray = TokenSeq(x_out.reshape(-1, d_model), positions, Modality.RAY)
+video_out, ray_out = dsca_block(video, ray, params)
+digest = hashlib.sha256()
+for arr in (x_out, video_out.tokens, ray_out.tokens, grad, np.array([report.total])):
+    digest.update(arr.tobytes())
+print(digest.hexdigest())
+print(others)
+"""
+
+
+def test_generate_bytes_do_not_depend_on_the_blas_thread_count():
+    # at 384 tokens every product of the block, and every dot of the loss
+    # over the 36864-entry state, is large enough for OpenBLAS to split
+    # across threads if one call covered it whole
+    src = str(Path(attention.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", GENERATE_SCRIPT], env=env, check=True,
+                              timeout=300, capture_output=True, text=True)
+        outputs.append(done.stdout.split())
+    assert outputs[0][0] == outputs[1][0]
+    # the pool never woke at the default thread count: one woken call keeps
+    # a pool thread spinning for about 0.1 s
+    assert float(outputs[0][1]) < 0.02
 
 
 # ------------------------------------------------- stage 1 of a held stream

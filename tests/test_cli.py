@@ -628,6 +628,16 @@ def test_metrics_names_a_frame_the_decoder_dropped(tmp_path, capsys):
     assert err.startswith("error: ") and "missing [3]" in err
 
 
+def test_metrics_refuses_a_one_frame_trajectory_naming_the_file(tmp_path, capsys):
+    traj = tmp_path / "one.traj"
+    run("synth", "orbit", 1, traj, "--width", 64, "--height", 48)
+    capsys.readouterr()
+    assert run("metrics", traj, traj) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {traj} has 1 frame; mRRA needs at least 2 frames\n"
+
+
 def test_metrics_rejects_frames_in_another_order(tmp_path, capsys):
     traj, shuffled = tmp_path / "t.traj", tmp_path / "s.traj"
     run("synth", "orbit", 4, traj, "--width", 64, "--height", 48)

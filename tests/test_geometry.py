@@ -2,6 +2,10 @@ import numpy as np
 import pytest
 
 from raxelkit.geometry import (
+    _DOT_ONE_THREAD,
+    _GEMM_ONE_THREAD,
+    _one_thread_blocks,
+    _row_blocks,
     CameraFrame,
     Intrinsics,
     Pose,
@@ -283,3 +287,50 @@ class TestValidation:
         fixed = nearest_rotation(noisy)
         assert np.abs(fixed.T @ fixed - np.eye(3)).max() < 1e-12
         assert np.linalg.det(fixed) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestOneThreadBlocks:
+    @pytest.mark.parametrize("n", [0, 1, 2, 26, 27, 28, 95, 96, 97, 384, 385, 36864])
+    @pytest.mark.parametrize("cost", [1, 9216, 36864, 2_000_000])
+    def test_blocks_cover_each_row_once_under_the_limit(self, n, cost):
+        blocks = _one_thread_blocks(n, (cost, _GEMM_ONE_THREAD))
+        counts = np.zeros(n, dtype=int)
+        for block in blocks:
+            counts[block] += 1
+        assert np.all(counts == 1)
+        assert all(0 <= b.start < b.stop <= n for b in blocks)
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(size >= 1 for size in sizes)
+        # equal sizes but a smaller last block, which is kept when ragged
+        assert len(set(sizes[:-1])) <= 1 and (not sizes or sizes[-1] <= sizes[0])
+        if cost <= _GEMM_ONE_THREAD:
+            assert all(size * cost <= _GEMM_ONE_THREAD for size in sizes)
+            assert len(blocks) == -(-n // (_GEMM_ONE_THREAD // cost))
+        else:
+            # a row over the limit on its own is a block of its own
+            assert sizes == [1] * n
+
+    def test_the_tightest_product_sets_the_block(self):
+        blocks = _one_thread_blocks(384, (96 * 96, _GEMM_ONE_THREAD), (24 * 384, _GEMM_ONE_THREAD),
+                                    (1, 50))
+        assert [b.stop - b.start for b in blocks] == [48] * 8
+
+    @pytest.mark.parametrize("n, products, rows", [
+        # the generate shapes: 384 tokens, d_model 96, 4 heads of 24, d_ff 384
+        (384, [(96 * 96, _GEMM_ONE_THREAD)], 96),                   # q, k, v projections
+        (384, [(24 * 384, _GEMM_ONE_THREAD), (96 * 96, _GEMM_ONE_THREAD)], 96),  # attention core
+        (384, [(96 * 384, _GEMM_ONE_THREAD)], 26),                  # ff_in and ff_out
+        (36864, [(1, _DOT_ONE_THREAD)], 9216),                      # flow loss dots
+    ])
+    def test_generate_shapes_stay_under_their_stated_sizes(self, n, products, rows):
+        blocks = _one_thread_blocks(n, *products)
+        assert blocks[0].stop == rows
+        for block in blocks:
+            for cost, limit in products:
+                assert (block.stop - block.start) * cost <= limit
+
+    def test_row_blocks_keep_the_per_pixel_block_size(self):
+        blocks = _row_blocks(99840)
+        assert [b.stop - b.start for b in blocks[:-1]] == [3000] * 33
+        assert blocks[-1] == slice(99000, 99840)
+        assert _row_blocks(10, 4) == [slice(0, 4), slice(4, 8), slice(8, 10)]
