@@ -15,10 +15,13 @@ and reduces the reference bundle for registration once per trajectory
 (its centroid and centred x/y/z rows) before any frame is decoded, so
 each frame costs one registration against it and one focal pass over the
 frame's camera-frame rays (x/y/z rows, ``R^T (p - T)``); the reference
-grid itself is dropped once its own position is decoded. Registration
-and the camera-frame rays run their BLAS products in row blocks that stay
-on the calling thread (``geometry._row_blocks``). ``recover_pose`` is the
-pose step for a single frame pair. Only ``GridKind.RAXEL`` grids decode.
+grid itself is dropped once its own position is decoded, and every grid
+before the next one is read. The focal pass forms the camera-frame rays,
+inlier masks and votes a tenth of the grid at a time, in blocks of whole
+image rows, and keeps only the inlier votes. Registration and the
+camera-frame rays run their BLAS products in row blocks that stay on the
+calling thread (``geometry._row_blocks``). ``recover_pose`` is the pose
+step for a single frame pair. Only ``GridKind.RAXEL`` grids decode.
 
 The principal point is taken as the image center unless the caller
 supplies one; ``decoded_trajectory`` turns decoded frames into a
@@ -43,7 +46,7 @@ from .errors import (
     RaxelkitError,
     ShapeMismatchError,
 )
-from .geometry import CameraFrame, Intrinsics, Pose, Trajectory
+from .geometry import CameraFrame, Intrinsics, Pose, Trajectory, _row_blocks
 from .rays import GridKind, RayGrid, grid_pixel_coordinates
 from .registration import (
     RegistrationResult,
@@ -55,6 +58,12 @@ from .registration import (
 INLIER_EPS = 1e-6
 MIN_INLIER_FRACTION = 0.1
 FRAME_FAILURES = (DegenerateGeometryError, InsufficientInliersError, NonFiniteInputError)
+# recover_focal takes a grid in this many blocks of whole image rows. A
+# block's temporaries (camera-frame rows, one axis's ratios, mask and kept
+# votes: about 41 bytes a pixel, against a grid's 24) stay under a fifth of
+# a grid, which keeps a sweep cycle under four grids at any frame size; each
+# block costs some twenty numpy calls, so more blocks would be slower
+_FOCAL_BLOCKS = 10
 
 
 @dataclass(frozen=True)
@@ -102,10 +111,29 @@ def recover_pose(target: RayGrid, reference: RayGrid) -> RegistrationResult:
 
 
 def _lower_median(values: np.ndarray) -> float:
-    """Lower median of a fresh 1-D array, which it partitions in place."""
+    """Lower median of a 1-D array that nothing else reads, which it
+    partitions in place."""
     k = (values.size - 1) // 2
     values.partition(k)
     return float(values[k])
+
+
+def _add_votes(votes, filled, offsets, axis, z) -> int:
+    """Write one block's inlier votes ``offsets * z / axis`` into ``votes``
+    after its first ``filled`` entries, in pixel order, and return the new
+    count. A pixel is an inlier when ``axis`` is more than INLIER_EPS from
+    zero and ``z`` is above INLIER_EPS; the other votes may be inf or nan
+    and are never written. ``axis`` is overwritten."""
+    ratios = np.empty_like(z)
+    np.copyto(ratios, offsets)
+    ratios *= z
+    ratios /= axis
+    # min(|axis|, z) > eps holds exactly when both do; nan fails either way
+    np.abs(axis, out=axis)
+    np.minimum(axis, z, out=axis)
+    kept = ratios.reshape(-1)[(axis > INLIER_EPS).reshape(-1)]
+    votes[filled:filled + kept.size] = kept
+    return filled + kept.size
 
 
 def recover_focal(
@@ -122,6 +150,11 @@ def recover_focal(
     frame, and takes per-pixel ratios u*z/x and v*z/y with (u, v) measured
     from the principal point (image center by default). Pixels whose
     denominator or z component is within INLIER_EPS of zero are excluded.
+    The grid is taken in ``_FOCAL_BLOCKS`` blocks of whole image rows;
+    each block's camera-frame rays, masks and votes are formed and dropped
+    in turn, and only its inlier votes are kept, in pixel order, in two
+    arrays as long as the grid, one per axis. The estimates are the lower
+    medians of the filled parts.
 
     Returns (fx_hat, fy_hat, inlier_fraction) where the fraction is the
     smaller of the two axes' inlier shares. Raises InsufficientInliersError
@@ -144,32 +177,30 @@ def recover_focal(
         )
     u_c, v_c = u - cx, v - cy
 
-    # camera-frame rays as contiguous x/y/z rows
-    local = _source_frame_rows(target.data.reshape(-1, 3), pose)
-    x, y, z = (row.reshape(v.size, u.size) for row in local)
-    z_ok = z > INLIER_EPS
-    mask_x = (x > INLIER_EPS) | (x < -INLIER_EPS)
-    mask_x &= z_ok
-    mask_y = (y > INLIER_EPS) | (y < -INLIER_EPS)
-    mask_y &= z_ok
-    total = x.size
-    frac_x = np.count_nonzero(mask_x) / total
-    frac_y = np.count_nonzero(mask_y) / total
+    points = target.data.reshape(-1, 3)
+    total = points.shape[0]
+    # each axis's inlier votes in pixel order, filled block by block; one
+    # allocation for both, since glibc trims two freed halves at the top of
+    # its heap back to the system and the next call faults them in again
+    fx_votes, fy_votes = np.empty((2, total))
+    n_x = n_y = 0
+    for rows in _row_blocks(v.size, -(-v.size // _FOCAL_BLOCKS)):
+        pixels = slice(rows.start * u.size, rows.stop * u.size)
+        # camera-frame rays of whole image rows, as x/y/z rows
+        x, y, z = (c.reshape(-1, u.size) for c in _source_frame_rows(points[pixels], pose))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            n_x = _add_votes(fx_votes, n_x, u_c, x, z)
+            n_y = _add_votes(fy_votes, n_y, v_c[rows, None], y, z)
+        del x, y, z  # this block's rows go before the next block's are formed
+    frac_x = n_x / total
+    frac_y = n_y / total
     if frac_x < MIN_INLIER_FRACTION or frac_y < MIN_INLIER_FRACTION:
         raise InsufficientInliersError(
             f"focal inlier fractions {frac_x:.3f}/{frac_y:.3f} below "
             f"{MIN_INLIER_FRACTION}"
         )
-    # votes are formed everywhere, in one buffer shared by both axes, and
-    # masked once; excluded pixels may be inf/nan
-    votes = np.empty_like(z)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        np.multiply(u_c[None, :], z, out=votes)
-        votes /= x
-        fx_hat = _lower_median(votes[mask_x])
-        np.multiply(v_c[:, None], z, out=votes)
-        votes /= y
-        fy_hat = _lower_median(votes[mask_y])
+    fx_hat = _lower_median(fx_votes[:n_x])
+    fy_hat = _lower_median(fy_votes[:n_y])
     if fx_hat <= 0.0 or fy_hat <= 0.0:
         raise InsufficientInliersError(
             f"focal estimates {fx_hat:.6g}/{fy_hat:.6g} are not positive: "
@@ -190,20 +221,21 @@ def decode_trajectory(
 
     ``images`` is any sized sequence of grids. Each element is read exactly
     once, the reference first, then the other positions in ascending order,
-    and no grid is kept past its own frame, the reference included, so a
-    sequence that builds its grids on demand is decoded one frame at a
-    time. The reference bundle is reduced for registration once, when it
-    is read, and shared by every frame. Frames are solved independently;
-    a frame that is degenerate, has too few focal inliers, a focal that is
-    not positive or non-finite pixels (``FRAME_FAILURES``) is reported in the
-    failure list (with its position) and leaves a None placeholder, without
-    aborting the rest. The reference frame's pose is set to the exact
-    identity, not solved; a non-finite reference raises NonFiniteInputError,
-    since no frame can be registered against it. ShapeMismatchError fails
-    the whole call at the first frame that shows it: a grid that is not a
-    raxel image or whose shape differs from the reference's, image
-    dimensions that do not map to the grid, or a grid with fewer than 3
-    pixels to register.
+    and no grid is kept past its own frame, the reference and failed frames
+    included: each is released before the next element is read, so a
+    sequence that builds its grids on demand holds one of them at a time,
+    besides the reduced reference. The reference bundle is reduced for
+    registration once, when it is read, and shared by every frame. Frames
+    are solved independently; a frame that is degenerate, has too few focal
+    inliers, a focal that is not positive or non-finite pixels
+    (``FRAME_FAILURES``) is reported in the failure list (with its
+    position) and leaves a None placeholder, without aborting the rest.
+    The reference frame's pose is set to the exact identity, not solved; a
+    non-finite reference raises NonFiniteInputError, since no frame can be
+    registered against it. ShapeMismatchError fails the whole call at the
+    first frame that shows it: a grid that is not a raxel image or whose
+    shape differs from the reference's, image dimensions that do not map to
+    the grid, or a grid with fewer than 3 pixels to register.
 
     Returns (decoded, failures) where decoded matches the input order.
     """
@@ -224,6 +256,7 @@ def decode_trajectory(
     decoded: list[DecodedFrame | None] = [None] * n
     failures: list[DecodeFailure] = []
     for pos in range(n):
+        img = None  # the previous frame's grid goes before this one is read
         if pos == reference_index:
             img, ref_image = ref_image, None
         else:

@@ -273,8 +273,10 @@ def _damaged_frames(
     Under gaussian noise, reading element k also starts the standard normal
     draw of the element that ``decode_trajectory`` reads next (the
     reference first, then ascending positions) on ``pool``'s worker thread,
-    into a buffer allocated here, and reading that element scales and adds
-    it; any other element is perturbed when it is read. The worker calls
+    into a buffer allocated here once frame k's clean grid is dropped, and
+    reading that element scales and adds it in place; any other element is
+    perturbed when it is read. So a read holds at most two grids of its
+    own: the damaged frame and the next frame's noise. The worker calls
     numpy alone, never a public function of this package, since the span
     tracer of ``perfbench`` keeps one span stack for all threads. The grids
     equal ``perturb``'s bit for bit."""
@@ -294,10 +296,11 @@ def _damaged_frames(
             damaged = _add_scaled_noise(noise, spec.magnitude, grid)
         else:
             damaged = perturb(grid, replace(spec, seed=int(seeds[k])))
+        grid = None  # the clean grid goes before the next noise buffer is allocated
         following = read_next.get(k)
         if spec.kind is PerturbationKind.GAUSSIAN_PER_PIXEL and following is not None:
             rng = np.random.default_rng(int(seeds[following]))
-            buffer = np.empty(grid.data.shape)
+            buffer = np.empty(damaged.data.shape)
             draw = (following, pool.submit(rng.standard_normal, out=buffer))
         return damaged
 

@@ -1,6 +1,7 @@
-"""Checks shared by every test module."""
+"""Checks and helpers shared by every test module."""
 
 import threading
+import tracemalloc
 
 import pytest
 
@@ -13,3 +14,24 @@ def no_thread_outlives_the_test():
     extra = [t for t in threading.enumerate() if t not in before]
     if extra:
         pytest.fail(f"threads left alive: {[t.name for t in extra]}")
+
+
+@pytest.fixture
+def traced_peak_grids():
+    """``measure(call, grid_bytes)`` runs ``call()`` twice under tracemalloc,
+    the first time to fill caches, and returns the traced peak of the second
+    run above the memory traced when it starts, in units of ``grid_bytes``."""
+
+    def measure(call, grid_bytes):
+        tracemalloc.start()
+        try:
+            call()
+            tracemalloc.reset_peak()
+            baseline = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - baseline) / grid_bytes
+
+    return measure

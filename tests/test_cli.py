@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -472,23 +471,18 @@ def test_decode_loads_each_grid_once_per_pass(tmp_path, monkeypatch, extra, read
     assert sorted(loads) == sorted(f"frame_{k}.rxl" for k in range(5) for _ in range(reads))
 
 
-def test_decode_holds_about_one_grid_at_a_time(tmp_path):
+def test_decode_holds_about_one_grid_at_a_time(tmp_path, traced_peak_grids):
     # all 41 grids held at once would be over 41 grid sizes
     traj, grids = tmp_path / "gt.traj", tmp_path / "grids"
     run("synth", "orbit", 41, traj, "--width", 256, "--height", 192, "--reverse")
     run("encode", traj, grids)
     grid_bytes = 96 * 128 * 3 * 8
     out = tmp_path / "p.traj"
-    tracemalloc.start()
-    try:
+
+    def decode():
         assert run("decode", grids, out) == 0
-        tracemalloc.reset_peak()
-        baseline = tracemalloc.get_traced_memory()[0]
-        assert run("decode", grids, out) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert (peak - baseline) / grid_bytes < 10
+
+    assert traced_peak_grids(decode, grid_bytes) < 10
     assert load_trajectory(str(out)).reference_index == 40
 
 

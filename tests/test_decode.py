@@ -224,6 +224,51 @@ class TestRecoverFocal:
                 for pose in (Pose.identity(), random_pose(channel, 0.3, 0.5)):
                     assert focal_outcome(grid, pose, 96, 64) == focal_oracle(grid, pose, 96, 64)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("width, height", [
+        (832, 160),  # 80x416: 3000-pixel products end inside image rows
+        (666, 130),  # 65x333
+        (96, 3),  # a 1-row grid
+        (6004, 6),  # 3x3002: a row wider than one 3000-pixel product
+        (7000, 3),  # one row wider than a product
+    ])
+    def test_blocked_votes_match_the_oracle_bit_for_bit(self, width, height):
+        intr = Intrinsics(fx=0.6 * width, fy=0.7 * width, cx=width / 2, cy=height / 2,
+                          width=width, height=height)
+        rng = np.random.default_rng(width + height)
+        pose = random_pose(width, 0.4, 0.5)
+        clean = encode_raxel(CameraFrame(intrinsics=intr, pose=pose, index=0), pose).data
+        hostile = clean.copy().reshape(-1, 3)
+        n = hostile.shape[0]
+        # non-finite pixels and camera-frame x or y at or near zero
+        for value, channel in ((np.inf, 0), (-np.inf, 2), (np.nan, 1), (0.0, 0),
+                               (INLIER_EPS, 1), (-INLIER_EPS, 0), (1e-300, 1)):
+            hostile[rng.choice(n, size=max(1, n // 20), replace=False), channel] = value
+        grids = [
+            RayGrid(clean),
+            RayGrid(clean + rng.normal(0.0, 0.05, clean.shape)),
+            RayGrid(hostile.reshape(clean.shape)),
+        ]
+        for grid in grids:
+            for p in (pose, Pose.identity()):
+                assert focal_outcome(grid, p, width, height) == focal_oracle(grid, p, width, height)
+
+    def test_error_messages_are_unchanged(self):
+        intr = Intrinsics(fx=60.0, fy=60.0, cx=48.0, cy=32.0, width=96, height=64)
+        data = reference_image(intr).data.copy()
+        backward = data.copy()
+        backward[..., 2] = -1.0
+        with pytest.raises(InsufficientInliersError) as err:
+            recover_focal(RayGrid(backward), Pose.identity(), 96, 64)
+        assert str(err.value) == "focal inlier fractions 0.000/0.000 below 0.1"
+        data[..., 0] *= -1.0  # every fx vote turns negative
+        with pytest.raises(InsufficientInliersError) as err:
+            recover_focal(RayGrid(data), Pose.identity(), 96, 64)
+        assert str(err.value) == (
+            "focal estimates -60/60 are not positive: "
+            "at least half the votes disagree with the pose"
+        )
+
 
 class TestDecodeTrajectory:
     def test_orbit_round_trip(self):
@@ -331,12 +376,12 @@ class TestDecodeTrajectory:
 
 class CountingGrids:
     """A sized sequence that builds a fresh grid on each read. It records the
-    order of reads, and at each read which earlier non-reference grids still
-    have their pixel arrays alive (every grid when ``reference`` is None);
-    it holds only weak references to them."""
+    order of reads, and at each read k which non-reference grids at
+    positions before ``k - lag`` still have their pixel arrays alive (every
+    grid when ``reference`` is None); it holds only weak references to them."""
 
-    def __init__(self, data, reference):
-        self.data, self.reference = data, reference
+    def __init__(self, data, reference, lag=1):
+        self.data, self.reference, self.lag = data, reference, lag
         self.reads, self.alive_at_read, self.returned = [], {}, {}
 
     def __len__(self):
@@ -345,7 +390,7 @@ class CountingGrids:
     def __getitem__(self, k):
         self.alive_at_read[k] = [
             j for j, ref in self.returned.items()
-            if j != self.reference and j < k - 1 and ref() is not None
+            if j != self.reference and j < k - self.lag and ref() is not None
         ]
         self.reads.append(k)
         grid = RayGrid(self.data[k].copy())
@@ -406,4 +451,24 @@ class TestLazyDecode:
         decoded, failures = decode_trajectory(grids, reference, 96, 64)
         assert not failures and all(d is not None for d in decoded)
         # like any other grid, the reference may live on through the next read only
+        assert {k: alive for k, alive in grids.alive_at_read.items() if alive} == {}
+
+    @pytest.mark.parametrize("reference", [0, 3])
+    def test_releases_each_grid_before_the_next_read(self, reference):
+        # frame 5 fails registration and frame 6 the finite check; the grid
+        # of a failed frame goes before the next read like any other
+        intr = Intrinsics(fx=60.0, fy=60.0, cx=48.0, cy=32.0, width=96, height=64)
+        frame = CameraFrame(intrinsics=intr, pose=Pose.identity(), index=0)
+        poses = orbit_poses(8)
+        to_ref = inverse(poses[reference])
+        data = [encode_raxel(frame, compose(to_ref, p)).data for p in poses]
+        data[5] = np.tile(np.array([0.1, 0.2, 0.9]), (32, 48, 1))
+        data[6] = data[6].copy()
+        data[6][4, 7, 2] = np.nan
+
+        grids = CountingGrids(data, reference=None, lag=0)
+        decoded, failures = decode_trajectory(grids, reference, 96, 64)
+
+        assert [f.position for f in failures] == [5, 6]
+        assert sum(d is not None for d in decoded) == 6
         assert {k: alive for k, alive in grids.alive_at_read.items() if alive} == {}

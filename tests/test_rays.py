@@ -1,7 +1,6 @@
 """Tests for the dense ray encodings (raxel, Plucker, raymap)."""
 
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,18 +282,15 @@ class TestTrajectoryEncoding:
         with pytest.raises(IndexError, match="out of range"):
             encode_trajectory_raxels(traj)
 
-    def test_iteration_holds_about_one_grid(self):
+    def test_iteration_holds_about_one_grid(self, traced_peak_grids):
         # a list of all 21 grids would be over 21 grid sizes
         intr = Intrinsics(fx=180.0, fy=180.0, cx=104.0, cy=60.0, width=208, height=120)
         traj = generate_trajectory(TrajectoryKind.ORBIT, 21, intr)
         grid_bytes = 60 * 104 * 3 * 8
         ray_grid(intr)  # the cached camera rays are not the sequence's grids
-        tracemalloc.start()
-        try:
-            baseline = tracemalloc.get_traced_memory()[0]
+
+        def iterate():
             for grid in encode_trajectory_raxels(traj):
                 assert grid.data.nbytes == grid_bytes
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert (peak - baseline) / grid_bytes < 3
+
+        assert traced_peak_grids(iterate, grid_bytes) < 3
