@@ -18,10 +18,11 @@ frame's camera-frame rays (x/y/z rows, ``R^T (p - T)``); the reference
 grid itself is dropped once its own position is decoded, and every grid
 before the next one is read. The focal pass forms the camera-frame rays,
 inlier masks and votes a tenth of the grid at a time, in blocks of whole
-image rows, and keeps only the inlier votes. Registration and the
-camera-frame rays run their BLAS products in row blocks that stay on the
-calling thread (``geometry._row_blocks``). ``recover_pose`` is the pose
-step for a single frame pair. Only ``GridKind.RAXEL`` grids decode.
+image rows, in scratch that every block reuses, and keeps only the inlier
+votes. Registration and the camera-frame rays run their BLAS products in
+row blocks that stay on the calling thread (``geometry._row_blocks``, and
+one gemm per focal block). ``recover_pose`` is the pose step for a single
+frame pair. Only ``GridKind.RAXEL`` grids decode.
 
 The principal point is taken as the image center unless the caller
 supplies one; ``decoded_trajectory`` turns decoded frames into a
@@ -46,12 +47,18 @@ from .errors import (
     RaxelkitError,
     ShapeMismatchError,
 )
-from .geometry import CameraFrame, Intrinsics, Pose, Trajectory, _row_blocks
+from .geometry import (
+    _GEMM_T_ONE_THREAD,
+    CameraFrame,
+    Intrinsics,
+    Pose,
+    Trajectory,
+    _row_blocks,
+)
 from .rays import GridKind, RayGrid, grid_pixel_coordinates
 from .registration import (
     RegistrationResult,
     _prepare_source,
-    _source_frame_rows,
     register,
 )
 
@@ -59,10 +66,11 @@ INLIER_EPS = 1e-6
 MIN_INLIER_FRACTION = 0.1
 FRAME_FAILURES = (DegenerateGeometryError, InsufficientInliersError, NonFiniteInputError)
 # recover_focal takes a grid in this many blocks of whole image rows. A
-# block's temporaries (camera-frame rows, one axis's ratios, mask and kept
-# votes: about 41 bytes a pixel, against a grid's 24) stay under a fifth of
-# a grid, which keeps a sweep cycle under four grids at any frame size; each
-# block costs some twenty numpy calls, so more blocks would be slower
+# block's scratch and kept votes (camera-frame rows, one axis's ratios and
+# mask, the kept votes: about 41 bytes a pixel, against a grid's 24) stay
+# under a fifth of a grid, which keeps a sweep cycle under four grids at any
+# frame size; each block costs some twenty numpy calls, so more blocks
+# would be slower
 _FOCAL_BLOCKS = 10
 
 
@@ -118,22 +126,32 @@ def _lower_median(values: np.ndarray) -> float:
     return float(values[k])
 
 
-def _add_votes(votes, filled, offsets, axis, z) -> int:
+def _add_votes(votes, filled, offsets, axis, z, ratios, inlier) -> int:
     """Write one block's inlier votes ``offsets * z / axis`` into ``votes``
     after its first ``filled`` entries, in pixel order, and return the new
     count. A pixel is an inlier when ``axis`` is more than INLIER_EPS from
     zero and ``z`` is above INLIER_EPS; the other votes may be inf or nan
-    and are never written. ``axis`` is overwritten."""
-    ratios = np.empty_like(z)
+    and are never written. ``axis`` is overwritten; ``ratios`` and
+    ``inlier`` are scratch of its shape."""
+    # the offsets are broadcast by a copy: numpy buffers a broadcast
+    # operand of an arithmetic ufunc over short rows
     np.copyto(ratios, offsets)
     ratios *= z
     ratios /= axis
     # min(|axis|, z) > eps holds exactly when both do; nan fails either way
     np.abs(axis, out=axis)
     np.minimum(axis, z, out=axis)
-    kept = ratios.reshape(-1)[(axis > INLIER_EPS).reshape(-1)]
+    kept = ratios[np.greater(axis, INLIER_EPS, out=inlier)]
     votes[filled:filled + kept.size] = kept
     return filled + kept.size
+
+
+def _focal_scratch(rays, ratios, inlier, rows: int) -> tuple:
+    """Views of recover_focal's scratch for a block of ``rows`` image rows:
+    the camera-frame rays as (3, pixels) for the gemm, then as x, y and z
+    rows, the ratios and the inlier mask."""
+    xyz = rays[:, :rows]
+    return (xyz.reshape(3, -1), *xyz, ratios[:rows], inlier[:rows])
 
 
 def recover_focal(
@@ -150,11 +168,12 @@ def recover_focal(
     frame, and takes per-pixel ratios u*z/x and v*z/y with (u, v) measured
     from the principal point (image center by default). Pixels whose
     denominator or z component is within INLIER_EPS of zero are excluded.
-    The grid is taken in ``_FOCAL_BLOCKS`` blocks of whole image rows;
-    each block's camera-frame rays, masks and votes are formed and dropped
-    in turn, and only its inlier votes are kept, in pixel order, in two
-    arrays as long as the grid, one per axis. The estimates are the lower
-    medians of the filled parts.
+    The grid is taken in ``_FOCAL_BLOCKS`` blocks of whole image rows, or
+    in more where a block's one gemm would leave the calling thread. Each
+    block's camera-frame rays, ratios and masks are formed in scratch that
+    every block reuses, and only its inlier votes are kept, in pixel order,
+    in two arrays as long as the grid, one per axis. The estimates are the
+    lower medians of the filled parts.
 
     Returns (fx_hat, fy_hat, inlier_fraction) where the fraction is the
     smaller of the two axes' inlier shares. Raises InsufficientInliersError
@@ -177,21 +196,38 @@ def recover_focal(
         )
     u_c, v_c = u - cx, v - cy
 
-    points = target.data.reshape(-1, 3)
-    total = points.shape[0]
+    # the pixels' x/y/z rows, the right operand of each block's gemm
+    points_t = target.data.reshape(-1, 3).T
+    total = points_t.shape[1]
+    rt = pose.rotation.T
+    shift_x, shift_y, shift_z = rt @ pose.translation
+    # image rows per block: a tenth of the grid, and few enough that the
+    # block's gemm, 9 multiply-adds a pixel, stays on the calling thread
+    block = max(1, min(-(-v.size // _FOCAL_BLOCKS), _GEMM_T_ONE_THREAD // (9 * u.size)))
+    # one block's scratch, reused by every block
+    rays = np.empty((3, block, u.size))
+    ratios = np.empty((block, u.size))
+    inlier = np.empty((block, u.size), dtype=bool)
     # each axis's inlier votes in pixel order, filled block by block; one
     # allocation for both, since glibc trims two freed halves at the top of
     # its heap back to the system and the next call faults them in again
     fx_votes, fy_votes = np.empty((2, total))
     n_x = n_y = 0
-    for rows in _row_blocks(v.size, -(-v.size // _FOCAL_BLOCKS)):
-        pixels = slice(rows.start * u.size, rows.stop * u.size)
-        # camera-frame rays of whole image rows, as x/y/z rows
-        x, y, z = (c.reshape(-1, u.size) for c in _source_frame_rows(points[pixels], pose))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            n_x = _add_votes(fx_votes, n_x, u_c, x, z)
-            n_y = _add_votes(fy_votes, n_y, v_c[rows, None], y, z)
-        del x, y, z  # this block's rows go before the next block's are formed
+    v_c = v_c[:, None]
+    scratch = _focal_scratch(rays, ratios, inlier, block)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in _row_blocks(v.size, block):
+            if rows.stop - rows.start < block:  # the last block may be shorter
+                scratch = _focal_scratch(rays, ratios, inlier, rows.stop - rows.start)
+            flat, x, y, z, ratio, keep = scratch
+            # camera-frame rays R^T p - R^T T; the shift is taken from one
+            # row at a time, since numpy buffers a (3, 1) broadcast
+            np.matmul(rt, points_t[:, rows.start * u.size:rows.stop * u.size], out=flat)
+            x -= shift_x
+            y -= shift_y
+            z -= shift_z
+            n_x = _add_votes(fx_votes, n_x, u_c, x, z, ratio, keep)
+            n_y = _add_votes(fy_votes, n_y, v_c[rows], y, z, ratio, keep)
     frac_x = n_x / total
     frac_y = n_y / total
     if frac_x < MIN_INLIER_FRACTION or frac_y < MIN_INLIER_FRACTION:

@@ -89,10 +89,12 @@ class _PickledAsConstructorCall:
 # - a gemm with a C-contiguous right operand stays up to 1.0M multiply-adds
 #   (100x100x100 and 27x96x384 stay; 101x100x100 and 28x96x384 thread);
 # - a gemm with a transposed right operand, such as ``k[h].T``, only up to
-#   about 0.52M (56x24x384 stays; 57x24x384 and 64x32x256 thread), so
-#   ``attention`` copies its keys to give the score product a C-contiguous one;
+#   about 0.52M (56x24x384 and 3x3x57000 stay; 57x24x384, 64x32x256 and
+#   3x3x60000 thread), so ``attention`` copies its keys to give the score
+#   product a C-contiguous one;
 # - a dot or a vector norm up to 10000 elements (10001 threads).
 _GEMM_ONE_THREAD = 1_000_000
+_GEMM_T_ONE_THREAD = 500_000
 _DOT_ONE_THREAD = 10_000
 
 # Rows per BLAS call over a per-pixel array of 3-vectors: a dot over one block

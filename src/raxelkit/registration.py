@@ -117,12 +117,11 @@ def _source_frame_rows(points: np.ndarray, pose: Pose) -> np.ndarray:
     """``R^T (p - T)`` for every row of the (n, 3) ``points``, returned as a
     contiguous (3, n) array of x/y/z rows, one gemm per row block."""
     rt = pose.rotation.T
+    shift = (rt @ pose.translation)[:, None]
     out = np.empty((3, points.shape[0]))
     for rows in _row_blocks(points.shape[0]):
-        np.matmul(rt, points[rows].T, out=out[:, rows])
-    # a scalar per row: numpy buffers a (3, 1) broadcast, up to a block in size
-    for row, offset in zip(out, rt @ pose.translation):
-        row -= offset
+        block = np.matmul(rt, points[rows].T, out=out[:, rows])
+        block -= shift
     return out
 
 
