@@ -19,6 +19,7 @@ from raxelkit.errors import (
     ShapeMismatchError,
 )
 from raxelkit.geometry import (
+    _GEMM_T_ONE_THREAD,
     CameraFrame,
     Intrinsics,
     Pose,
@@ -253,6 +254,23 @@ class TestRecoverFocal:
         for grid in grids:
             for p in (pose, Pose.identity()):
                 assert focal_outcome(grid, p, width, height) == focal_oracle(grid, p, width, height)
+
+    def test_each_block_gemm_stays_under_the_one_thread_limit(self, monkeypatch):
+        # an 11x28000 grid: a tenth of it, two rows, would be a gemm of 504k
+        # multiply-adds; blocks of one row keep every gemm under the limit
+        intr = Intrinsics(fx=30000.0, fy=30000.0, cx=28000.0, cy=11.0, width=56000, height=22)
+        img = encode_raxel(CameraFrame(intrinsics=intr, pose=Pose.identity(), index=0),
+                           Pose.identity())
+        pose = Pose.identity()
+        products, matmul = [], np.matmul
+
+        def recording(a, b, *args, **kwargs):
+            products.append(a.shape[0] * a.shape[1] * b.shape[-1])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        recover_focal(img, pose, 56000, 22)
+        assert len(products) == 11 and max(products) <= _GEMM_T_ONE_THREAD
 
     def test_error_messages_are_unchanged(self):
         intr = Intrinsics(fx=60.0, fy=60.0, cx=48.0, cy=32.0, width=96, height=64)
