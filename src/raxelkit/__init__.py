@@ -27,7 +27,6 @@ from .decode import (
     DecodeFailure,
     decode_trajectory,
     recover_focal,
-    recover_pose,
 )
 from .errors import (
     DegenerateDirectionError,
@@ -167,7 +166,6 @@ __all__ = [
     "random_pose",
     "ray_grid",
     "recover_focal",
-    "recover_pose",
     "register",
     "reverse_trajectory",
     "rope_rotate",

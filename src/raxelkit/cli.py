@@ -224,11 +224,6 @@ def cmd_decode(args) -> None:
 
 # -------------------------------------------------------------- roundtrip
 
-def _cycle_report(trajectory, kind_name: str, magnitude: float, seed: int):
-    spec = PerturbationSpec(PerturbationKind(kind_name), magnitude, seed)
-    return cycle_consistency_run(trajectory, spec)
-
-
 def _csv_row(kind: str, frames: int, magnitude: float, seed: int,
              report, mrra30: float, residual: float, settings: tuple) -> str:
     metrics = (report.mean_rotation_error, report.mean_translation_error, mrra30, residual)
@@ -259,9 +254,8 @@ def _write_csv(path: str, rows: list[str]) -> None:
 def cmd_roundtrip(args) -> None:
     trajectory = _load_trajectory(args.trajectory)
     rows = _existing_rows(args.csv) if args.csv else []
-    report, mrra30, residual = _cycle_report(
-        trajectory, args.noise_kind, args.magnitude, args.seed
-    )
+    spec = PerturbationSpec(PerturbationKind(args.noise_kind), args.magnitude, args.seed)
+    report, mrra30, residual = cycle_consistency_run(trajectory, spec)
     print(f"mean_rot_err={report.mean_rotation_error:.6f}")
     print(f"mean_trans_err={report.mean_translation_error:.6f}")
     print(f"mrra30={mrra30:.6f}")
@@ -370,9 +364,8 @@ def cmd_bench(args) -> None:
                     key = _bench_cell_key(kind_name, args.frames, magnitude, seed)
                     if key in have:
                         continue
-                    report, mrra30, residual = _cycle_report(
-                        trajectory_by_kind, args.noise_kind, magnitude, seed
-                    )
+                    spec = PerturbationSpec(PerturbationKind(args.noise_kind), magnitude, seed)
+                    report, mrra30, residual = cycle_consistency_run(trajectory_by_kind, spec)
                     rows.append(_csv_row(
                         kind_name, args.frames, magnitude, seed, report, mrra30, residual,
                         settings,
@@ -431,21 +424,24 @@ def build_parser() -> argparse.ArgumentParser:
     met.add_argument("ground_truth")
     met.set_defaults(func=cmd_metrics)
 
-    syn = sub.add_parser("synth", help="write a synthetic trajectory")
+    # the synthetic camera path's settings, shared by synth and bench
+    path_options = argparse.ArgumentParser(add_help=False)
+    path_options.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
+                              help="circle radius (arcs, orbit) or path length (line)")
+    path_options.add_argument("--fov", type=float, default=DEFAULT_FOV_DEG,
+                              help="horizontal field of view in degrees")
+    path_options.add_argument("--width", type=int, default=DEFAULT_WIDTH)
+    path_options.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
+
+    syn = sub.add_parser("synth", parents=[path_options], help="write a synthetic trajectory")
     syn.add_argument("kind", choices=_TRAJECTORY_NAMES)
     syn.add_argument("frames", type=int)
     syn.add_argument("out_trajectory")
-    syn.add_argument("--radius", type=float, default=DEFAULT_RADIUS,
-                     help="circle radius (arcs, orbit) or path length (line)")
-    syn.add_argument("--fov", type=float, default=DEFAULT_FOV_DEG,
-                     help="horizontal field of view in degrees")
-    syn.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-    syn.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
     syn.add_argument("--reverse", action="store_true",
                      help="traverse the path backwards")
     syn.set_defaults(func=cmd_synth)
 
-    ben = sub.add_parser("bench", help="noise-robustness sweep to CSV")
+    ben = sub.add_parser("bench", parents=[path_options], help="noise-robustness sweep to CSV")
     ben.add_argument("--out", default="bench.csv")
     ben.add_argument("--kinds", nargs="+", choices=_TRAJECTORY_NAMES,
                      default=list(BENCH_KINDS))
@@ -456,10 +452,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--seeds", type=int, default=BENCH_SEEDS,
                      help="seeds 0..N-1 per cell")
     ben.add_argument("--frames", type=int, default=BENCH_FRAMES)
-    ben.add_argument("--width", type=int, default=DEFAULT_WIDTH)
-    ben.add_argument("--height", type=int, default=DEFAULT_HEIGHT)
-    ben.add_argument("--fov", type=float, default=DEFAULT_FOV_DEG)
-    ben.add_argument("--radius", type=float, default=DEFAULT_RADIUS)
     ben.set_defaults(func=cmd_bench)
 
     return parser

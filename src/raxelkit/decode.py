@@ -10,19 +10,20 @@ Inverts the raxel encoding in two closed-form steps per frame:
    the estimate. The median makes the estimator immune to up to half
    the pixels being corrupted.
 
-``decode_trajectory`` reads its sequence of grids once, reference first,
-and reduces the reference bundle for registration once per trajectory
-(its centroid and centred x/y/z rows) before any frame is decoded, so
-each frame costs one registration against it and one focal pass over the
-frame's camera-frame rays (x/y/z rows, ``R^T (p - T)``); the reference
-grid itself is dropped once its own position is decoded, and every grid
-before the next one is read. The focal pass forms the camera-frame rays,
-inlier masks and votes a tenth of the grid at a time, in blocks of whole
-image rows, in scratch that every block reuses, and keeps only the inlier
-votes. Registration and the camera-frame rays run their BLAS products in
-row blocks that stay on the calling thread (``geometry._row_blocks``, and
-one gemm per focal block). ``recover_pose`` is the pose step for a single
-frame pair. Only ``GridKind.RAXEL`` grids decode.
+``decode_trajectory`` reads its grids once, in ``_read_order``: the
+reference first, then the other positions in ascending order, and decodes
+each in one loop step as it reads it. The reference's step also reduces
+its bundle for registration (its centroid and centred x/y/z rows), so
+each other frame costs one registration against it and one focal pass
+over the frame's camera-frame rays (x/y/z rows, ``R^T (p - T)``, which
+``registration._camera_rows`` forms for both). Every grid, the reference
+too, is released before the next one is read. The focal pass forms the
+camera-frame rays, inlier masks and votes a tenth of the grid at a time,
+in blocks of whole image rows, in scratch that every block reuses, and
+keeps only the inlier votes. Registration and the camera-frame rays run
+their BLAS products in row blocks that stay on the calling thread
+(``geometry._row_blocks``, and one gemm per focal block). Only
+``GridKind.RAXEL`` grids decode.
 
 The principal point is taken as the image center unless the caller
 supplies one; ``decoded_trajectory`` turns decoded frames into a
@@ -56,11 +57,7 @@ from .geometry import (
     _row_blocks,
 )
 from .rays import GridKind, RayGrid, grid_pixel_coordinates
-from .registration import (
-    RegistrationResult,
-    _prepare_source,
-    register,
-)
+from .registration import _camera_rows, _prepare_source, register
 
 INLIER_EPS = 1e-6
 MIN_INLIER_FRACTION = 0.1
@@ -99,23 +96,6 @@ def _require_raxel(grid: RayGrid, name: str) -> None:
         raise ShapeMismatchError(
             f"{name} is a {grid.kind.value} grid; only raxel grids decode"
         )
-
-
-def recover_pose(target: RayGrid, reference: RayGrid) -> RegistrationResult:
-    """Rigid transform taking the reference raxel bundle onto the target's.
-
-    When the reference image is the canonical frame (identity pose), the
-    recovered pose is the target frame's relative pose. Raises
-    ShapeMismatchError on differing or non-raxel grids and
-    DegenerateGeometryError when the bundles do not pin down a rotation.
-    """
-    _require_raxel(target, "the target")
-    _require_raxel(reference, "the reference")
-    if target.data.shape != reference.data.shape:
-        raise ShapeMismatchError(
-            f"raxel grids differ: {target.data.shape} vs {reference.data.shape}"
-        )
-    return register(target.data.reshape(-1, 3), reference.data.reshape(-1, 3))
 
 
 def _lower_median(values: np.ndarray) -> float:
@@ -200,7 +180,7 @@ def recover_focal(
     points_t = target.data.reshape(-1, 3).T
     total = points_t.shape[1]
     rt = pose.rotation.T
-    shift_x, shift_y, shift_z = rt @ pose.translation
+    shift = rt @ pose.translation
     # image rows per block: a tenth of the grid, and few enough that the
     # block's gemm, 9 multiply-adds a pixel, stays on the calling thread
     block = max(1, min(-(-v.size // _FOCAL_BLOCKS), _GEMM_T_ONE_THREAD // (9 * u.size)))
@@ -220,12 +200,8 @@ def recover_focal(
             if rows.stop - rows.start < block:  # the last block may be shorter
                 scratch = _focal_scratch(rays, ratios, inlier, rows.stop - rows.start)
             flat, x, y, z, ratio, keep = scratch
-            # camera-frame rays R^T p - R^T T; the shift is taken from one
-            # row at a time, since numpy buffers a (3, 1) broadcast
-            np.matmul(rt, points_t[:, rows.start * u.size:rows.stop * u.size], out=flat)
-            x -= shift_x
-            y -= shift_y
-            z -= shift_z
+            # camera-frame rays R^T p - R^T T
+            _camera_rows(rt, shift, points_t[:, rows.start * u.size:rows.stop * u.size], flat)
             n_x = _add_votes(fx_votes, n_x, u_c, x, z, ratio, keep)
             n_y = _add_votes(fy_votes, n_y, v_c[rows], y, z, ratio, keep)
     frac_x = n_x / total
@@ -245,6 +221,12 @@ def recover_focal(
     return fx_hat, fy_hat, min(frac_x, frac_y)
 
 
+def _read_order(n: int, reference_index: int) -> list[int]:
+    """The positions of ``n`` frames in the order ``decode_trajectory``
+    reads them: the reference, then the others in ascending order."""
+    return [reference_index] + [k for k in range(n) if k != reference_index]
+
+
 def decode_trajectory(
     images: Sequence[RayGrid],
     reference_index: int,
@@ -256,16 +238,17 @@ def decode_trajectory(
     """Decode every raxel image against the reference frame's image.
 
     ``images`` is any sized sequence of grids. Each element is read exactly
-    once, the reference first, then the other positions in ascending order,
-    and no grid is kept past its own frame, the reference and failed frames
-    included: each is released before the next element is read, so a
-    sequence that builds its grids on demand holds one of them at a time,
-    besides the reduced reference. The reference bundle is reduced for
-    registration once, when it is read, and shared by every frame. Frames
-    are solved independently; a frame that is degenerate, has too few focal
-    inliers, a focal that is not positive or non-finite pixels
-    (``FRAME_FAILURES``) is reported in the failure list (with its
-    position) and leaves a None placeholder, without aborting the rest.
+    once and decoded as it is read: the reference first, then the other
+    positions in ascending order. No grid is kept past its own frame, the
+    reference and failed frames included: each is released before the next
+    element is read, so a sequence that builds its grids on demand holds
+    one of them at a time, besides the reduced reference. The reference
+    bundle is reduced for registration once, when it is read, and shared
+    by every frame. Frames are solved independently; a frame that is
+    degenerate, has too few focal inliers, a focal that is not positive or
+    non-finite pixels (``FRAME_FAILURES``) is reported in the failure list
+    (with its position; the list is in order of position) and leaves a
+    None placeholder, without aborting the rest.
     The reference frame's pose is set to the exact identity, not solved; a
     non-finite reference raises NonFiniteInputError, since no frame can be
     registered against it. ShapeMismatchError fails the whole call at the
@@ -278,27 +261,19 @@ def decode_trajectory(
     n = len(images)
     if not 0 <= reference_index < n:
         raise IndexError(f"reference_index {reference_index} out of range for {n} images")
-    ref_image = images[reference_index]
-    _require_raxel(ref_image, f"image {reference_index}")
-    ref_shape = ref_image.data.shape
-    if not np.all(np.isfinite(ref_image.data)):
-        raise NonFiniteInputError(
-            f"reference image {reference_index} contains non-finite pixels"
-        )
-
-    # reduced for registration here; the reference grid itself is dropped
-    # once its own position is decoded
-    reference = _prepare_source(ref_image.data.reshape(-1, 3)) if n > 1 else None
     decoded: list[DecodedFrame | None] = [None] * n
     failures: list[DecodeFailure] = []
-    for pos in range(n):
+    for pos in _read_order(n, reference_index):
         img = None  # the previous frame's grid goes before this one is read
-        if pos == reference_index:
-            img, ref_image = ref_image, None
-        else:
-            img = images[pos]
+        img = images[pos]
         _require_raxel(img, f"image {pos}")
-        if img.data.shape != ref_shape:
+        if pos == reference_index:
+            if not np.all(np.isfinite(img.data)):
+                raise NonFiniteInputError(f"reference image {pos} contains non-finite pixels")
+            ref_shape = img.data.shape
+            # reduced once for every frame; a lone frame registers nothing
+            reference = _prepare_source(img.data.reshape(-1, 3)) if n > 1 else None
+        elif img.data.shape != ref_shape:
             raise ShapeMismatchError(
                 f"image {pos} grid {img.data.shape} differs from reference grid {ref_shape}"
             )
@@ -322,6 +297,7 @@ def decode_trajectory(
             pose_residual=residual,
             inlier_fraction=inlier_fraction,
         )
+    failures.sort(key=lambda failure: failure.position)
     return decoded, failures
 
 

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .decode import decode_trajectory, decoded_trajectory, recover_pose
+from .decode import _read_order, decode_trajectory, decoded_trajectory
 from .errors import (
     DegenerateGeometryError,
     LengthMismatchError,
@@ -47,6 +47,7 @@ from .geometry import (
     rotation_angle,
 )
 from .rays import LazyGrids, RayGrid, _frame_raxels, _ray_factors
+from .registration import register
 
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
@@ -271,19 +272,18 @@ def _damaged_frames(
     k's clean grid, encoded when it is read, perturbed with its own seed.
 
     Under gaussian noise, reading element k also starts the standard normal
-    draw of the element that ``decode_trajectory`` reads next (the
-    reference first, then ascending positions) on ``pool``'s worker thread,
-    into a buffer allocated here once frame k's clean grid is dropped, and
-    reading that element scales and adds it in place; any other element is
-    perturbed when it is read. So a read holds at most two grids of its
-    own: the damaged frame and the next frame's noise. The worker calls
-    numpy alone, never a public function of this package, since the span
-    tracer of ``perfbench`` keeps one span stack for all threads. The grids
-    equal ``perturb``'s bit for bit."""
+    draw of the element that ``decode_trajectory`` reads next (in
+    ``decode._read_order``: the reference first, then ascending positions)
+    on ``pool``'s worker thread, into a buffer allocated here once frame
+    k's clean grid is dropped, and reading that element scales and adds it
+    in place; any other element is perturbed when it is read. So a read
+    holds at most two grids of its own: the damaged frame and the next
+    frame's noise. The worker calls numpy alone, never a public function
+    of this package, since the span tracer of ``perfbench`` keeps one span
+    stack for all threads. The grids equal ``perturb``'s bit for bit."""
     clean = _frame_raxels(canonical.frames)
     seeds = np.random.SeedSequence(spec.seed).generate_state(len(clean))
-    ref = canonical.reference_index
-    order = [ref] + [k for k in range(len(clean)) if k != ref]
+    order = _read_order(len(clean), canonical.reference_index)
     read_next = dict(zip(order, order[1:]))
     draw = None  # (position, future of its noise buffer)
 
@@ -312,7 +312,8 @@ def _clean_frame_overflows(canonical: Trajectory, pos: int) -> bool:
     the clean reference grid."""
     clean = _frame_raxels(canonical.frames)
     try:
-        recover_pose(clean[pos], clean[canonical.reference_index])
+        register(clean[pos].data.reshape(-1, 3),
+                 clean[canonical.reference_index].data.reshape(-1, 3))
     except NonFiniteInputError:
         return True
     except DegenerateGeometryError:

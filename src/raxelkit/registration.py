@@ -11,12 +11,12 @@ rows (``geometry._row_blocks``), small enough that BLAS keeps each call on
 the calling thread. Per block, a target costs one gemv towards its
 centroid, one gemm towards the cross-covariance
 ``src_c^T @ tgt - outer(sum(src_c), centroid_t)`` (the target is never
-centred explicitly) and one dot towards its norm; after the 3x3 SVD, one
-gemm maps the block back into the source frame, ``R^T (p - T)``, the
-source ``centroid + src_c`` is subtracted and one dot adds the block's
-squared residual, so no array of the target's size is built. ``register``
-also accepts an already prepared source, so a trajectory decode reduces
-its reference once for all frames.
+centred explicitly) and one dot towards its norm; after the 3x3 SVD,
+``_camera_rows`` (which the decode's focal pass also uses) maps the block
+back into the source frame, ``R^T (p - T)``, by one gemm into one block's
+scratch, the source ``centroid + src_c`` is subtracted and one dot adds
+the block's squared residual. ``register`` also accepts an already
+prepared source, so a trajectory decode reduces its reference once.
 """
 
 from __future__ import annotations
@@ -113,15 +113,14 @@ def _prepare_source(source) -> _PreparedSource:
     )
 
 
-def _source_frame_rows(points: np.ndarray, pose: Pose) -> np.ndarray:
-    """``R^T (p - T)`` for every row of the (n, 3) ``points``, returned as a
-    contiguous (3, n) array of x/y/z rows, one gemm per row block."""
-    rt = pose.rotation.T
-    shift = (rt @ pose.translation)[:, None]
-    out = np.empty((3, points.shape[0]))
-    for rows in _row_blocks(points.shape[0]):
-        block = np.matmul(rt, points[rows].T, out=out[:, rows])
-        block -= shift
+def _camera_rows(rt, shift, points_t, out: np.ndarray) -> np.ndarray:
+    """``rt @ points_t - shift`` into ``out``, all (3, m) x/y/z rows: with
+    ``rt = R^T`` and ``shift = R^T T``, the camera-frame rows ``R^T (p - T)``.
+    One gemm, then each row's shift subtracted as a scalar, since numpy
+    buffers a (3, 1) broadcast."""
+    np.matmul(rt, points_t, out=out)
+    for row, s in zip(out, shift):
+        row -= s
     return out
 
 
@@ -173,13 +172,14 @@ def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
     rotation = v @ np.diag([1.0, 1.0, d]) @ u.T
     pose = Pose(rotation, tgt_centroid - rotation @ prepared.centroid)
 
-    # the residual R^T (p - T) - s, with s = centroid + centred, per block
+    # the residual R^T (p - T) - s, s = centroid + centred, per block in scratch
     rt = pose.rotation.T
-    shift = (rt @ pose.translation + prepared.centroid)[:, None]
+    shift = rt @ pose.translation + prepared.centroid
+    scratch = np.empty(3 * min(n, _BLOCK_ROWS))
     sum_sq = 0.0
     for rows in blocks:
-        residual = rt @ tgt[rows].T
-        residual -= shift
+        out = scratch[: 3 * (rows.stop - rows.start)].reshape(3, -1)
+        residual = _camera_rows(rt, shift, tgt[rows].T, out)
         residual -= prepared.centred[:, rows]
         sum_sq += np.vdot(residual, residual)
     return RegistrationResult(pose, float(np.sqrt(float(sum_sq) / n)), condition)

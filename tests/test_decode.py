@@ -10,7 +10,6 @@ from raxelkit.decode import (
     MIN_INLIER_FRACTION,
     decode_trajectory,
     recover_focal,
-    recover_pose,
 )
 from raxelkit.errors import (
     DegenerateGeometryError,
@@ -23,6 +22,7 @@ from raxelkit.geometry import (
     CameraFrame,
     Intrinsics,
     Pose,
+    _row_blocks,
     axis_angle_rotation,
     compose,
     geodesic_rotation_distance,
@@ -38,7 +38,7 @@ from raxelkit.rays import (
     grid_pixel_coordinates,
     ray_grid,
 )
-from raxelkit.registration import _source_frame_rows
+from raxelkit.registration import register
 
 INTR = Intrinsics(fx=700.0, fy=700.0, cx=416.0, cy=240.0, width=832, height=480)
 FRAME = CameraFrame(intrinsics=INTR, pose=Pose.identity(), index=0)
@@ -63,10 +63,17 @@ def orbit_poses(n, radius=2.0):
     return [compose(first_inv, p) for p in poses]
 
 
+def points(grid):
+    return grid.data.reshape(-1, 3)
+
+
 class TestRecoverPose:
+    """The pose step of one frame pair: the unprepared ``register`` on the
+    reshaped grids, the oracle of the decode's prepared path."""
+
     def test_identical_images_give_identity(self):
         ref = reference_image()
-        result = recover_pose(ref, ref)
+        result = register(points(ref), points(ref))
         assert geodesic_rotation_distance(result.pose, Pose.identity()) < 1e-12
         assert np.linalg.norm(result.pose.translation) < 1e-12
         assert result.rms_residual < 1e-12
@@ -76,7 +83,7 @@ class TestRecoverPose:
             axis_angle_rotation(Z_AXIS, np.deg2rad(25.0)),
             np.array([0.3, -0.1, 0.5]),
         )
-        result = recover_pose(encode_raxel(FRAME, pose), reference_image())
+        result = register(points(encode_raxel(FRAME, pose)), points(reference_image()))
         assert geodesic_rotation_distance(result.pose, pose) < 1e-9
         assert np.linalg.norm(result.pose.translation - pose.translation) < 1e-9
 
@@ -88,7 +95,7 @@ class TestRecoverPose:
             clean = encode_raxel(FRAME, pose)
             rng = np.random.default_rng(seed)
             noisy = RayGrid(clean.data + rng.normal(0.0, 0.01, clean.data.shape))
-            result = recover_pose(noisy, ref)
+            result = register(points(noisy), points(ref))
             worst = max(worst, geodesic_rotation_distance(result.pose, pose))
         # measured 3.7e-4 max on these seeds; pinned with margin
         assert worst < 1e-3
@@ -96,13 +103,13 @@ class TestRecoverPose:
     def test_mismatched_grids_rejected(self):
         small = Intrinsics(fx=100.0, fy=100.0, cx=20.0, cy=15.0, width=40, height=30)
         with pytest.raises(ShapeMismatchError):
-            recover_pose(reference_image(small), reference_image())
+            register(points(reference_image(small)), points(reference_image()))
 
     def test_constant_image_degenerate(self):
         ref = reference_image()
         flat = RayGrid(np.tile(np.array([0.1, 0.2, 0.9]), (ref.height_r, ref.width_r, 1)))
         with pytest.raises(DegenerateGeometryError):
-            recover_pose(flat, ref)
+            register(points(flat), points(ref))
 
 
 def _bits(x):
@@ -123,7 +130,11 @@ def focal_oracle(target, pose, width, height):
     vote arrays per axis, np.partition on a copy."""
     u, v = grid_pixel_coordinates(width, height)
     u_c, v_c = u - width / 2.0, v - height / 2.0
-    local = _source_frame_rows(target.data.reshape(-1, 3), pose)
+    # R^T p - R^T T, one product per 3000 pixels, as registration first did
+    rt = pose.rotation.T
+    pts = target.data.reshape(-1, 3)
+    local = np.hstack([rt @ pts[rows].T for rows in _row_blocks(len(pts))])
+    local -= (rt @ pose.translation)[:, None]
     x, y, z = (row.reshape(v.size, u.size) for row in local)
     z_ok = z > INLIER_EPS
     mask_x = z_ok & (np.abs(x) > INLIER_EPS)
@@ -387,6 +398,9 @@ class TestDecodeTrajectory:
         images = encode_trajectory_raxels(generate_trajectory(TrajectoryKind.ARC_LEFT, 9, intr))
         decoded, failures = decode_trajectory(images, 4, 96, 64)
         assert failures
+        # every frame fails, the reference too; though the reference is
+        # decoded first, the list stays in order of position
+        assert [f.position for f in failures] == list(range(9))
         for failure in failures:
             assert isinstance(failure.error, InsufficientInliersError)
             assert "not positive" in str(failure.error)
@@ -395,8 +409,8 @@ class TestDecodeTrajectory:
 
 class CountingGrids:
     """A sized sequence that builds a fresh grid on each read. It records the
-    order of reads, and at each read k which non-reference grids at
-    positions before k still have their pixel arrays alive (every grid when
+    order of reads, and at each read k which non-reference grids read
+    earlier still have their pixel arrays alive (every grid when
     ``reference`` is None); it holds only weak references to them."""
 
     def __init__(self, data, reference):
@@ -409,7 +423,7 @@ class CountingGrids:
     def __getitem__(self, k):
         self.alive_at_read[k] = [
             j for j, ref in self.returned.items()
-            if j != self.reference and j < k and ref() is not None
+            if j != self.reference and ref() is not None
         ]
         self.reads.append(k)
         grid = RayGrid(self.data[k].copy())
@@ -458,7 +472,7 @@ class TestLazyDecode:
                     exp.fx_hat, exp.fy_hat, exp.pose_residual, exp.inlier_fraction
                 )
 
-    @pytest.mark.parametrize("reference", [0, 3])
+    @pytest.mark.parametrize("reference", [0, 3, 5])
     def test_drops_the_reference_grid_once_its_position_is_decoded(self, reference):
         intr = Intrinsics(fx=60.0, fy=60.0, cx=48.0, cy=32.0, width=96, height=64)
         frame = CameraFrame(intrinsics=intr, pose=Pose.identity(), index=0)

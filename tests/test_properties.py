@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from raxelkit.decode import decode_trajectory, recover_focal, recover_pose
+from raxelkit.decode import decode_trajectory, recover_focal
 from raxelkit.errors import DegenerateGeometryError, RaxelkitError
 from raxelkit.geometry import CameraFrame, Intrinsics, Pose, random_pose
 from raxelkit.rays import (
@@ -73,7 +73,9 @@ def test_decode_trajectory_matches_per_frame_steps(setup):
             if pos == reference:
                 pose, residual = Pose.identity(), 0.0
             else:
-                result = recover_pose(image, images[reference])
+                result = register(
+                    image.data.reshape(-1, 3), images[reference].data.reshape(-1, 3)
+                )
                 pose, residual = result.pose, result.rms_residual
             fx, fy, share = recover_focal(image, pose, w, h, cx=cx, cy=cy)
         except RaxelkitError as err:
