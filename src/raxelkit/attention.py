@@ -179,7 +179,8 @@ class BranchParams(_PickledAsConstructorCall):
 
 @dataclass(frozen=True, eq=False)
 class DscaBlockParams(_PickledAsConstructorCall):
-    """Both branches, the per-modality offsets, and the head count."""
+    """Both branches, the per-modality offsets, and the head count. The
+    model width and each branch's ``ff_in`` width (d_ff) are at least 1."""
 
     video: BranchParams
     ray: BranchParams
@@ -217,6 +218,7 @@ class DscaBlockParams(_PickledAsConstructorCall):
                     ok = w.shape == (d, d)
                 if not ok:
                     raise ShapeMismatchError(f"{f.name} has shape {w.shape}, inconsistent with d_model {d}")
+            _require_widths(d, branch.ff_in.shape[1])
 
     @property
     def d_model(self) -> int:
@@ -229,12 +231,22 @@ class DscaBlockParams(_PickledAsConstructorCall):
         return self.offset_video if modality is Modality.VIDEO else self.offset_ray
 
 
+def _require_widths(d_model: int, d_ff: int) -> None:
+    """Refuse a block with no features or no hidden units: every one of its
+    products would be empty."""
+    if d_model < 1 or d_ff < 1:
+        raise ShapeMismatchError(f"d_model and d_ff must be at least 1, got {d_model} and {d_ff}")
+
+
 def init_dsca_params(rng_seed: int, d_model: int, head_count: int, d_ff: int | None = None) -> DscaBlockParams:
     """Deterministic parameter set: matrices uniform in +-1/sqrt(fan_in),
     gains one, offsets uniform like a d_model fan-in matrix row. The arrays
-    are created read-only, so the parameter classes keep them uncopied."""
+    are created read-only, so the parameter classes keep them uncopied.
+    Raises ShapeMismatchError before drawing for a ``d_model`` or ``d_ff``
+    under 1."""
     if d_ff is None:
         d_ff = 4 * d_model
+    _require_widths(d_model, d_ff)
     rng = np.random.default_rng(rng_seed)
 
     def mat(n_in, n_out):

@@ -20,10 +20,9 @@ over the frame's camera-frame rays (x/y/z rows, ``R^T (p - T)``, which
 too, is released before the next one is read. The focal pass forms the
 camera-frame rays, inlier masks and votes a tenth of the grid at a time,
 in blocks of whole image rows, in scratch that every block reuses, and
-keeps only the inlier votes. Registration and the camera-frame rays run
-their BLAS products in row blocks that stay on the calling thread
-(``geometry._row_blocks``, and one gemm per focal block). Only
-``GridKind.RAXEL`` grids decode.
+keeps only the inlier votes. Registration and the focal pass take their
+row blocks from ``geometry._one_thread_blocks``, so every BLAS product
+stays on the calling thread. Only ``GridKind.RAXEL`` grids decode.
 
 The principal point is taken as the image center unless the caller
 supplies one; ``decoded_trajectory`` turns decoded frames into a
@@ -54,7 +53,7 @@ from .geometry import (
     Intrinsics,
     Pose,
     Trajectory,
-    _row_blocks,
+    _one_thread_blocks,
 )
 from .rays import GridKind, RayGrid, grid_pixel_coordinates
 from .registration import _camera_rows, _prepare_source, register
@@ -62,12 +61,12 @@ from .registration import _camera_rows, _prepare_source, register
 INLIER_EPS = 1e-6
 MIN_INLIER_FRACTION = 0.1
 FRAME_FAILURES = (DegenerateGeometryError, InsufficientInliersError, NonFiniteInputError)
-# recover_focal takes a grid in this many blocks of whole image rows. A
-# block's scratch and kept votes (camera-frame rows, one axis's ratios and
-# mask, the kept votes: about 41 bytes a pixel, against a grid's 24) stay
-# under a fifth of a grid, which keeps a sweep cycle under four grids at any
-# frame size; each block costs some twenty numpy calls, so more blocks
-# would be slower
+# recover_focal takes a grid in at most this many blocks of whole image
+# rows. A block's scratch and kept votes (camera-frame rows, one axis's
+# ratios and mask, the kept votes: about 41 bytes a pixel, against a grid's
+# 24) stay under a fifth of a grid, which keeps a sweep cycle under four
+# grids at any frame size; each block costs some twenty numpy calls, so
+# more blocks would be slower
 _FOCAL_BLOCKS = 10
 
 
@@ -148,12 +147,12 @@ def recover_focal(
     frame, and takes per-pixel ratios u*z/x and v*z/y with (u, v) measured
     from the principal point (image center by default). Pixels whose
     denominator or z component is within INLIER_EPS of zero are excluded.
-    The grid is taken in ``_FOCAL_BLOCKS`` blocks of whole image rows, or
-    in more where a block's one gemm would leave the calling thread. Each
-    block's camera-frame rays, ratios and masks are formed in scratch that
-    every block reuses, and only its inlier votes are kept, in pixel order,
-    in two arrays as long as the grid, one per axis. The estimates are the
-    lower medians of the filled parts.
+    The grid is taken in at most ``_FOCAL_BLOCKS`` equal blocks of whole
+    image rows, or in more where a block's one gemm would leave the calling
+    thread. Each block's camera-frame rays, ratios and masks are formed in
+    scratch that every block reuses, and only its inlier votes are kept, in
+    pixel order, in two arrays as long as the grid, one per axis. The
+    estimates are the lower medians of the filled parts.
 
     Returns (fx_hat, fy_hat, inlier_fraction) where the fraction is the
     smaller of the two axes' inlier shares. Raises InsufficientInliersError
@@ -181,9 +180,11 @@ def recover_focal(
     total = points_t.shape[1]
     rt = pose.rotation.T
     shift = rt @ pose.translation
-    # image rows per block: a tenth of the grid, and few enough that the
+    # image rows per block: at most ten blocks, of few enough rows that the
     # block's gemm, 9 multiply-adds a pixel, stays on the calling thread
-    block = max(1, min(-(-v.size // _FOCAL_BLOCKS), _GEMM_T_ONE_THREAD // (9 * u.size)))
+    blocks = _one_thread_blocks(v.size, (9 * u.size, _GEMM_T_ONE_THREAD),
+                                (1, -(-v.size // _FOCAL_BLOCKS)))
+    block = blocks[0].stop
     # one block's scratch, reused by every block
     rays = np.empty((3, block, u.size))
     ratios = np.empty((block, u.size))
@@ -196,7 +197,7 @@ def recover_focal(
     v_c = v_c[:, None]
     scratch = _focal_scratch(rays, ratios, inlier, block)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for rows in _row_blocks(v.size, block):
+        for rows in blocks:
             if rows.stop - rows.start < block:  # the last block may be shorter
                 scratch = _focal_scratch(rays, ratios, inlier, rows.stop - rows.start)
             flat, x, y, z, ratio, keep = scratch

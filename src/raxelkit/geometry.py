@@ -16,10 +16,10 @@ array's ``writeable`` flag raises rather than reopening it to writes.
 
 It holds the package's one rule for BLAS calls too: every product runs
 on the calling thread, so OpenBLAS never wakes its thread pool. A call too
-large for that is cut into row blocks: ``_row_blocks`` gives blocks of
-``_BLOCK_ROWS`` rows over per-pixel arrays, and ``_one_thread_blocks``
-sizes them from a call's shape against the measured limits
-``_GEMM_ONE_THREAD`` and ``_DOT_ONE_THREAD``.
+large for that is cut into row blocks, and every blocked loop takes them
+from ``_one_thread_blocks``, which sizes them from the calls' shapes
+against the measured limits ``_GEMM_ONE_THREAD``, ``_GEMM_T_ONE_THREAD``
+and ``_DOT_ONE_THREAD``.
 """
 
 from __future__ import annotations
@@ -97,31 +97,23 @@ _GEMM_ONE_THREAD = 1_000_000
 _GEMM_T_ONE_THREAD = 500_000
 _DOT_ONE_THREAD = 10_000
 
-# Rows per BLAS call over a per-pixel array of 3-vectors: a dot over one block
-# is 9000 elements, and its gemv and gemm shapes are far below the gemm
-# limits. Summing per-block partial results also makes the reductions'
-# rounding independent of the pool's size.
-_BLOCK_ROWS = 3000
-
-
-def _row_blocks(n: int, rows: int = _BLOCK_ROWS) -> list[slice]:
-    """Consecutive slices of at most ``rows`` rows covering ``range(n)``."""
-    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
-
 
 def _one_thread_blocks(n: int, *products: tuple[int, int]) -> list[slice]:
     """Row blocks covering ``range(n)`` for BLAS calls that each stay on the
     calling thread.
 
-    ``products`` holds one ``(cost per row, limit)`` pair per call made on
-    every block, such as ``(inner * cols, _GEMM_ONE_THREAD)`` for a gemm:
-    a block has at most ``limit // cost`` rows for each pair. It takes as
-    few blocks as that allows, of equal size but a smaller last one; a row
-    whose cost alone passes a limit is a block of its own.
+    ``products`` holds one ``(cost per row, limit)`` pair, the cost a
+    positive integer, per call made on every block, such as ``(inner * cols,
+    _GEMM_ONE_THREAD)`` for a gemm: a block has at most ``limit // cost``
+    rows for each pair. It takes as few blocks as that allows, of equal size
+    but a smaller last one; a row whose cost alone passes a limit is a block
+    of its own. Per-block partial sums keep a reduction's rounding
+    independent of the pool's size.
     """
     most = max(1, min(limit // cost for cost, limit in products))
     count = max(1, -(-n // most))
-    return _row_blocks(n, max(1, -(-n // count)))
+    rows = max(1, -(-n // count))
+    return [slice(start, min(start + rows, n)) for start in range(0, n, rows)]
 
 
 def nearest_rotation(matrix: np.ndarray) -> np.ndarray:

@@ -41,11 +41,11 @@ from .geometry import (
     Intrinsics,
     Pose,
     Trajectory,
-    _BLOCK_ROWS,
+    _DOT_ONE_THREAD,
     _freeze,
+    _one_thread_blocks,
     _PickledAsConstructorCall,
     _read_only,
-    _row_blocks,
     canonicalize,
 )
 
@@ -134,8 +134,8 @@ def _encode(dirs: np.ndarray, pose: Pose, kind: GridKind) -> np.ndarray:
     """``kind``'s channels over an (H, W, 3) ray grid, freshly allocated, as
     ``d @ A + b`` for each row-vector ray d: raxel ``A = R^T, b = T``;
     Plucker ``A = [R^T | R^T [T]x], b = 0`` with ``d @ [T]x = d x T``;
-    raymap ``A = [0 | R^T], b = [T, 0]``. One gemm per block of rays
-    (``_row_blocks``), each followed by its add of b, which Plucker skips."""
+    raymap ``A = [0 | R^T], b = [T, 0]``. One gemm per row block, then its
+    add of b, which Plucker skips; the blocks are registration's."""
     r_t, t = pose.rotation.T, pose.translation
     h, w, _ = dirs.shape
     a = np.zeros((3, kind.channels))
@@ -148,9 +148,11 @@ def _encode(dirs: np.ndarray, pose: Pose, kind: GridKind) -> np.ndarray:
         b[:3] = t
     rays = dirs.reshape(-1, 3)
     data = np.empty((rays.shape[0], kind.channels))
-    # b repeated over a block, so each add runs over one flat block
-    offsets = np.tile(b, min(rays.shape[0], _BLOCK_ROWS))
-    for rows in _row_blocks(rays.shape[0]):
+    blocks = _one_thread_blocks(rays.shape[0], (3, _DOT_ONE_THREAD))
+    # b repeated over a block, so each add runs over one flat block; an
+    # empty grid has no block, and RayGrid refuses its shape
+    offsets = np.tile(b, blocks[0].stop if blocks else 0)
+    for rows in blocks:
         block = np.matmul(rays[rows], a, out=data[rows]).reshape(-1)
         if kind is not GridKind.PLUCKER:
             block += offsets[: block.size]

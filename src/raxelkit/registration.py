@@ -6,17 +6,17 @@ and a determinant correction that excludes reflections.
 
 The source side is reduced once (``_prepare_source``): its centroid, and
 its centred points as contiguous x/y/z rows with their row sums and norm;
-the source itself is not kept. Every per-point product runs over blocks of
-rows (``geometry._row_blocks``), small enough that BLAS keeps each call on
-the calling thread. Per block, a target costs one gemv towards its
-centroid, one gemm towards the cross-covariance
-``src_c^T @ tgt - outer(sum(src_c), centroid_t)`` (the target is never
-centred explicitly) and one dot towards its norm; after the 3x3 SVD,
-``_camera_rows`` (which the decode's focal pass also uses) maps the block
-back into the source frame, ``R^T (p - T)``, by one gemm into one block's
-scratch, the source ``centroid + src_c`` is subtracted and one dot adds
-the block's squared residual. ``register`` also accepts an already
-prepared source, so a trajectory decode reduces its reference once.
+the source itself is not kept. Every per-point product runs over row
+blocks from ``geometry._one_thread_blocks`` whose tightest call, a dot
+over a block's coordinates, stays on the calling thread. Per block, a
+target costs one gemv towards its centroid, one gemm towards the
+cross-covariance ``src_c^T @ tgt - outer(sum(src_c), centroid_t)`` (the
+target is never centred explicitly) and one dot towards its norm; after
+the 3x3 SVD, ``_camera_rows`` (which the decode's focal pass also uses)
+maps the block back into the source frame, ``R^T (p - T)``, by one gemm
+into one block's scratch, the source ``centroid + src_c`` is subtracted
+and one dot adds the block's squared residual. ``register`` also accepts
+an already prepared source, so a trajectory decode reduces it once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteInputError,
     ShapeMismatchError,
 )
-from .geometry import _BLOCK_ROWS, Pose, _row_blocks
+from .geometry import _DOT_ONE_THREAD, Pose, _one_thread_blocks
 
 # Smallest-to-largest singular value ratio of the cross-covariance below which
 # the rotation about the weak axis is unobservable.
@@ -86,9 +86,10 @@ def _centroid(points: np.ndarray) -> np.ndarray:
     """Mean of the (n, 3) ``points``: one gemv with the uniform weights
     ``1 / n`` per row block, summed in block order."""
     n = points.shape[0]
-    weights = np.full(min(n, _BLOCK_ROWS), 1.0 / n)
+    blocks = _one_thread_blocks(n, (3, _DOT_ONE_THREAD))
+    weights = np.full(blocks[0].stop, 1.0 / n)
     total = np.zeros(3)
-    for rows in _row_blocks(n):
+    for rows in blocks:
         total += weights[: rows.stop - rows.start] @ points[rows]
     return total
 
@@ -101,7 +102,7 @@ def _prepare_source(source) -> _PreparedSource:
     centroid = _centroid(src)
     centred = np.empty((3, src.shape[0]))
     norm_sq = 0.0
-    for rows in _row_blocks(src.shape[0]):
+    for rows in _one_thread_blocks(src.shape[0], (3, _DOT_ONE_THREAD)):
         block = src[rows] - centroid
         centred[:, rows] = block.T
         norm_sq += np.vdot(block, block)
@@ -143,7 +144,7 @@ def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
     if not np.all(np.isfinite(tgt_centroid)):
         _require_finite(tgt, "target")
 
-    blocks = _row_blocks(n)
+    blocks = _one_thread_blocks(n, (3, _DOT_ONE_THREAD))
     cross_cov = np.zeros((3, 3))
     tgt_sq = 0.0
     # finite but huge coordinates can overflow these sums
@@ -175,7 +176,7 @@ def _register_prepared(target, prepared: _PreparedSource) -> RegistrationResult:
     # the residual R^T (p - T) - s, s = centroid + centred, per block in scratch
     rt = pose.rotation.T
     shift = rt @ pose.translation + prepared.centroid
-    scratch = np.empty(3 * min(n, _BLOCK_ROWS))
+    scratch = np.empty(3 * blocks[0].stop)
     sum_sq = 0.0
     for rows in blocks:
         out = scratch[: 3 * (rows.stop - rows.start)].reshape(3, -1)

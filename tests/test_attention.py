@@ -380,6 +380,29 @@ class TestValidation:
         with pytest.raises(ShapeMismatchError):
             init_dsca_params(0, d_model=16, head_count=2)
 
+    @pytest.mark.parametrize("d_model, d_ff", [(0, 4), (6, 0), (0, 0)])
+    def test_zero_widths_are_refused_by_shape(self, d_model, d_ff):
+        # every array consistent with the widths, so only a width is wrong
+        def branch():
+            square = np.zeros((d_model, d_model))
+            return attention.BranchParams(
+                *[square] * 8, np.zeros((d_model, d_ff)), np.zeros((d_ff, d_model)),
+                *[np.ones(d_model)] * 3)
+
+        with pytest.raises(ShapeMismatchError, match="at least 1"):
+            DscaBlockParams(branch(), branch(), np.zeros(d_model), np.zeros(d_model), 1)
+
+    @pytest.mark.parametrize("d_model, d_ff", [(0, 4), (6, 0), (0, 0), (0, None)])
+    def test_init_refuses_zero_widths_before_drawing(self, d_model, d_ff):
+        with pytest.raises(ShapeMismatchError, match="at least 1"):
+            init_dsca_params(0, d_model, 1, d_ff=d_ff)
+
+    def test_one_hidden_unit_is_a_valid_width(self):
+        params = init_dsca_params(0, 6, 1, d_ff=1)
+        video, ray = dsca_block(make_seq(1, 4, Modality.VIDEO, 6), make_seq(2, 4, Modality.RAY, 6),
+                                params)
+        assert np.all(np.isfinite(video.tokens)) and np.all(np.isfinite(ray.tokens))
+
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ValueError):
             TokenSeq(np.zeros((2, 12)), [[0, 0, 0], [0, 0, 0]], Modality.VIDEO)

@@ -22,7 +22,6 @@ from raxelkit.geometry import (
     CameraFrame,
     Intrinsics,
     Pose,
-    _row_blocks,
     axis_angle_rotation,
     compose,
     geodesic_rotation_distance,
@@ -133,7 +132,8 @@ def focal_oracle(target, pose, width, height):
     # R^T p - R^T T, one product per 3000 pixels, as registration first did
     rt = pose.rotation.T
     pts = target.data.reshape(-1, 3)
-    local = np.hstack([rt @ pts[rows].T for rows in _row_blocks(len(pts))])
+    local = np.hstack([rt @ pts[start:start + 3000].T
+                       for start in range(0, len(pts), 3000)])
     local -= (rt @ pose.translation)[:, None]
     x, y, z = (row.reshape(v.size, u.size) for row in local)
     z_ok = z > INLIER_EPS

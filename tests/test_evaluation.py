@@ -1,10 +1,14 @@
 """Tests for metrics, trajectory generators, perturbations, and the
 cycle-consistency harness."""
 
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -604,3 +608,56 @@ class TestCycleConsistency:
         t = Trajectory(frames=frames, reference_index=0)
         with pytest.raises(ValueError):
             cycle_consistency_run(t, PerturbationSpec(PerturbationKind.GAUSSIAN_PER_PIXEL, 0.0))
+
+
+# Sweep cycles in a fresh interpreter: a 21-frame 832x480 orbit under
+# quantize noise, which draws on no worker thread, at three seeds. Prints
+# the digest of their rotation and translation errors and re-encode
+# residuals, then the CPU seconds that threads other than the caller's
+# (OpenBLAS's pool) used over the cycles, after a warm-up round.
+CYCLE_SCRIPT = """
+import hashlib, time
+import numpy as np
+from raxelkit.evaluation import (PerturbationKind, PerturbationSpec, TrajectoryKind,
+                                 cycle_consistency_run, generate_trajectory)
+from raxelkit.geometry import Intrinsics
+
+intr = Intrinsics(fx=700.0, fy=680.0, cx=416.0, cy=240.0, width=832, height=480)
+t = generate_trajectory(TrajectoryKind.ORBIT, 21, intr)
+
+def cycles():
+    return [cycle_consistency_run(t, PerturbationSpec(PerturbationKind.UNIFORM_QUANTIZE, 8,
+                                                      seed=seed))
+            for seed in range(3)]
+
+cycles()
+time.sleep(0.5)
+others = time.process_time() - time.thread_time()
+results = cycles()
+others = time.process_time() - time.thread_time() - others
+digest = hashlib.sha256()
+for report, _, residual in results:
+    for arr in (report.rotation_error, report.translation_error, np.array([residual])):
+        digest.update(arr.tobytes())
+print(digest.hexdigest())
+print(others)
+"""
+
+
+def test_sweep_cycle_does_not_depend_on_the_blas_thread_count():
+    # a 240x416 grid's registration sums, encodes and focal gemms are large
+    # enough for OpenBLAS to split across threads if one call covered them
+    src = str(Path(evaluation.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in (None, "1"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run([sys.executable, "-c", CYCLE_SCRIPT], env=env, check=True,
+                              timeout=300, capture_output=True, text=True)
+        outputs.append(done.stdout.split())
+    assert outputs[0][0] == outputs[1][0]
+    # the pool never woke at the default thread count: one woken call keeps
+    # a pool thread spinning for about 0.1 s
+    assert float(outputs[0][1]) < 0.02

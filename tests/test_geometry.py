@@ -4,8 +4,8 @@ import pytest
 from raxelkit.geometry import (
     _DOT_ONE_THREAD,
     _GEMM_ONE_THREAD,
+    _GEMM_T_ONE_THREAD,
     _one_thread_blocks,
-    _row_blocks,
     CameraFrame,
     Intrinsics,
     Pose,
@@ -321,6 +321,14 @@ class TestOneThreadBlocks:
         (384, [(24 * 384, _GEMM_ONE_THREAD), (96 * 96, _GEMM_ONE_THREAD)], 96),  # attention core
         (384, [(96 * 384, _GEMM_ONE_THREAD)], 26),                  # ff_in and ff_out
         (36864, [(1, _DOT_ONE_THREAD)], 9216),                      # flow loss dots
+        # registration and the encoders: a dot over a block's coordinates,
+        # on 832x480 and 416x240 images
+        (99840, [(3, _DOT_ONE_THREAD)], 3328),
+        (24960, [(3, _DOT_ONE_THREAD)], 3120),
+        # the focal pass: one gemm with a transposed right operand per
+        # block, at most a tenth of the image rows
+        (240, [(9 * 416, _GEMM_T_ONE_THREAD), (1, 24)], 24),
+        (120, [(9 * 208, _GEMM_T_ONE_THREAD), (1, 12)], 12),
     ])
     def test_generate_shapes_stay_under_their_stated_sizes(self, n, products, rows):
         blocks = _one_thread_blocks(n, *products)
@@ -328,9 +336,3 @@ class TestOneThreadBlocks:
         for block in blocks:
             for cost, limit in products:
                 assert (block.stop - block.start) * cost <= limit
-
-    def test_row_blocks_keep_the_per_pixel_block_size(self):
-        blocks = _row_blocks(99840)
-        assert [b.stop - b.start for b in blocks[:-1]] == [3000] * 33
-        assert blocks[-1] == slice(99000, 99840)
-        assert _row_blocks(10, 4) == [slice(0, 4), slice(4, 8), slice(8, 10)]

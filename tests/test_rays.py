@@ -140,6 +140,21 @@ class TestEncodeRaxel:
         with pytest.raises(ValueError):
             RayGrid(np.zeros((4, 3)))
 
+    @pytest.mark.parametrize("encode, kind, channels", [
+        (encode_raxel, "raxel", 3), (encode_plucker, "plucker", 6), (encode_raymap, "raymap", 6),
+    ])
+    @pytest.mark.parametrize("width, height, shape", [(1, 6, (3, 0)), (6, 1, (0, 3))])
+    def test_an_empty_grid_is_refused_by_shape(self, encode, kind, channels, width, height,
+                                               shape):
+        # a one-pixel-wide or -high image has no half-resolution samples
+        intr = Intrinsics(fx=10.0, fy=10.0, cx=width / 2, cy=height / 2, width=width,
+                          height=height)
+        frame = CameraFrame(intrinsics=intr, pose=Pose.identity(), index=0)
+        message = f"{kind} data must have shape (H_r, W_r, {channels}), got {(*shape, channels)}"
+        with pytest.raises(ValueError) as err:
+            encode(frame, Pose.identity())
+        assert str(err.value) == message
+
 
 class TestEncodePlucker:
     def test_zero_translation_zero_moment(self):
