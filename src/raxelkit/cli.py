@@ -17,6 +17,7 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -63,6 +64,10 @@ BENCH_FRAMES = 21
 _TRAJECTORY_NAMES = sorted(kind.value for kind in TrajectoryKind)
 _NOISE_NAMES = sorted(kind.value for kind in PerturbationKind)
 _GEOMETRIC_ERRORS = (DegenerateGeometryError, InsufficientInliersError)
+# bad input, down to a size too large for a float or for memory; main maps
+# these and OSError to an exit code, and lets any other exception escape
+_BAD_INPUT_ERRORS = (RaxelkitError, ValueError, IndexError, OverflowError, MemoryError)
+_HANDLED_ERRORS = _BAD_INPUT_ERRORS + (OSError,)
 
 
 def _check_image_size(width: int, height: int) -> None:
@@ -111,10 +116,13 @@ def cmd_encode(args) -> None:
     # every index is checked before the first file is written
     for frame in canonical.frames:
         rkio.check_frame_index(frame.index)
-    os.makedirs(args.out_dir, exist_ok=True)
     for frame in canonical.frames:
+        grid = encode(frame, frame.pose)
+        # made once a grid exists, so a size too large to allocate leaves no directory
+        os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, f"frame_{frame.index}.rxl")
-        rkio.save_raxel(path, encode(frame, frame.pose), frame.index)
+        rkio.save_raxel(path, grid, frame.index)
+        del grid  # freed before the next frame's grid is made
 
 
 # ----------------------------------------------------------------- decode
@@ -224,11 +232,9 @@ def cmd_decode(args) -> None:
 
 # -------------------------------------------------------------- roundtrip
 
-def _csv_row(kind: str, frames: int, magnitude: float, seed: int,
-             report, mrra30: float, residual: float, settings: tuple) -> str:
+def _csv_row(key: tuple, report, mrra30: float, residual: float, settings: tuple) -> str:
     metrics = (report.mean_rotation_error, report.mean_translation_error, mrra30, residual)
-    fields = [kind, str(frames), rkio._fmt(magnitude), str(seed)]
-    return ",".join(fields + [rkio._fmt(x) for x in metrics] + list(settings))
+    return ",".join([*key, *(rkio._fmt(x) for x in metrics), *settings])
 
 
 def _existing_rows(path: str) -> list[str]:
@@ -241,8 +247,13 @@ def _existing_rows(path: str) -> list[str]:
         raise ValueError(f"{path} does not start with the expected CSV header")
     rows = lines[1:]
     for row in rows:
-        if row.count(",") != CSV_HEADER.count(","):
-            raise ValueError(f"malformed CSV row: {row!r}")
+        cols = row.split(",")
+        try:
+            if len(cols) != CSV_HEADER.count(",") + 1:
+                raise ValueError
+            float(cols[2])  # the magnitude, which a resumed bench parses
+        except ValueError:
+            raise ValueError(f"malformed CSV row: {row!r}") from None
     return rows
 
 
@@ -265,9 +276,8 @@ def cmd_roundtrip(args) -> None:
         intr = trajectory.frames[0].intrinsics
         # a trajectory file records neither a field of view nor a radius
         settings = (args.noise_kind, str(intr.width), str(intr.height), "", "")
-        rows.append(_csv_row(
-            stem, len(trajectory), args.magnitude, args.seed, report, mrra30, residual, settings
-        ))
+        key = _bench_cell_key(stem, len(trajectory), args.magnitude, args.seed)
+        rows.append(_csv_row(key, report, mrra30, residual, settings))
         _write_csv(args.csv, rows)
 
 
@@ -343,6 +353,9 @@ def cmd_bench(args) -> None:
         raise ValueError(f"seed count {args.seeds} is negative")
     if args.frames < 2:
         raise ValueError(f"--frames {args.frames} is under 2, the fewest a cycle can score")
+    # every magnitude is checked before the first cell, also with --seeds 0
+    noise = PerturbationKind(args.noise_kind)
+    specs = [PerturbationSpec(noise, magnitude) for magnitude in args.magnitudes]
     if args.seeds == 0 and not os.path.exists(args.out):
         raise ValueError(f"--seeds 0 computes no cell and {args.out} does not exist yet")
     settings = (args.noise_kind, str(args.width), str(args.height),
@@ -359,17 +372,15 @@ def cmd_bench(args) -> None:
                 intrinsics,
                 scale=args.radius,
             )
-            for magnitude in args.magnitudes:
+            for spec in specs:
                 for seed in range(args.seeds):
-                    key = _bench_cell_key(kind_name, args.frames, magnitude, seed)
+                    key = _bench_cell_key(kind_name, args.frames, spec.magnitude, seed)
                     if key in have:
                         continue
-                    spec = PerturbationSpec(PerturbationKind(args.noise_kind), magnitude, seed)
-                    report, mrra30, residual = cycle_consistency_run(trajectory_by_kind, spec)
-                    rows.append(_csv_row(
-                        kind_name, args.frames, magnitude, seed, report, mrra30, residual,
-                        settings,
-                    ))
+                    report, mrra30, residual = cycle_consistency_run(
+                        trajectory_by_kind, replace(spec, seed=seed)
+                    )
+                    rows.append(_csv_row(key, report, mrra30, residual, settings))
                     have.add(key)
     except BaseException:
         # a failed or interrupted cell keeps the cells computed before it,
@@ -459,12 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _exit_code(err: Exception) -> int:
     """4 for geometric degeneracy (also as the cause of a raxelkit error),
-    3 for I/O failure, 2 for any other bad input."""
+    2 for any other bad input, 3 for I/O failure (OSError)."""
     if isinstance(err, _GEOMETRIC_ERRORS) or (
         isinstance(err, RaxelkitError) and isinstance(err.__cause__, _GEOMETRIC_ERRORS)
     ):
         return 4
-    if isinstance(err, (RaxelkitError, ValueError, IndexError)):
+    if isinstance(err, _BAD_INPUT_ERRORS):
         return 2
     return 3
 
@@ -473,7 +484,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (RaxelkitError, ValueError, IndexError, OSError) as err:
+    except _HANDLED_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return _exit_code(err)
     return 0

@@ -114,6 +114,18 @@ def target_velocity(batch: FlowBatch) -> np.ndarray:
     return batch.x1 - batch.x0
 
 
+def _checked_norms(prediction, batch: FlowBatch, cosine_weight: float):
+    """``(p, u, |p|, |u|)`` for the prediction and the target velocity,
+    after the checks ``loss`` and ``loss_gradient`` share."""
+    p = _as_state(prediction, "prediction")
+    u = target_velocity(batch)
+    if p.shape != u.shape:
+        raise ValueError(f"prediction shape {p.shape} does not match state {u.shape}")
+    if not cosine_weight >= 0:
+        raise ValueError(f"cosine_weight must be >= 0, got {cosine_weight}")
+    return p, u, math.sqrt(_dot(p, p)), math.sqrt(_dot(u, u))
+
+
 def loss(
     prediction,
     batch: FlowBatch,
@@ -126,16 +138,9 @@ def loss(
     vector has near-zero norm the direction is undefined and the term takes
     its weight as a worst-case penalty.
     """
-    p = _as_state(prediction, "prediction")
-    u = target_velocity(batch)
-    if p.shape != u.shape:
-        raise ValueError(f"prediction shape {p.shape} does not match state {u.shape}")
-    if cosine_weight < 0:
-        raise ValueError(f"cosine_weight must be >= 0, got {cosine_weight}")
+    p, u, p_norm, u_norm = _checked_norms(prediction, batch, cosine_weight)
     diff = p - u
     mse = _dot(diff, diff)
-    p_norm = math.sqrt(_dot(p, p))
-    u_norm = math.sqrt(_dot(u, u))
     if p_norm < ZERO_NORM_THRESHOLD or u_norm < ZERO_NORM_THRESHOLD:
         cosine_term = float(cosine_weight)
     else:
@@ -158,16 +163,11 @@ def loss_gradient(
     """Gradient of loss(...).total with respect to the prediction.
 
     d(mse)/dp = 2 (p - u). The cosine part differentiates to
-    -(w / |p|) (u / |u| - (p.u / (|p|^2 |u|)) p). Raises
-    DegenerateDirectionError when either norm is too small for the
-    direction to be defined.
+    -(w / |p|) (u / |u| - (p.u / (|p|^2 |u|)) p). Refuses what ``loss``
+    refuses, by the same checks, and raises DegenerateDirectionError when
+    either norm is too small for the direction to be defined.
     """
-    p = _as_state(prediction, "prediction")
-    u = target_velocity(batch)
-    if p.shape != u.shape:
-        raise ValueError(f"prediction shape {p.shape} does not match state {u.shape}")
-    p_norm = math.sqrt(_dot(p, p))
-    u_norm = math.sqrt(_dot(u, u))
+    p, u, p_norm, u_norm = _checked_norms(prediction, batch, cosine_weight)
     if p_norm < ZERO_NORM_THRESHOLD or u_norm < ZERO_NORM_THRESHOLD:
         raise DegenerateDirectionError(
             f"direction undefined at norms |p|={p_norm:.3e}, |u|={u_norm:.3e}"

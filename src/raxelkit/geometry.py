@@ -222,8 +222,6 @@ def random_pose(rng_seed: int, rotation_scale: float, translation_scale: float) 
         axis = rng.normal(size=3)
     angle = rng.uniform(0.0, rotation_scale)
     translation = rng.uniform(-translation_scale, translation_scale, size=3)
-    if rotation_scale == 0.0:
-        return Pose(np.eye(3), translation)
     return Pose(axis_angle_rotation(axis, angle), translation)
 
 

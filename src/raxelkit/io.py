@@ -72,7 +72,8 @@ def format_trajectory(trajectory: Trajectory) -> str:
 def parse_trajectory(text: str) -> Trajectory:
     """Parse the text format back into a Trajectory.
 
-    Raises TrajectoryParseError with the offending 1-based line number.
+    Raises TrajectoryParseError with the offending 1-based line number;
+    each failure of a frame line is a ValueError that one handler names.
     """
     lines = [ln for ln in text.splitlines()]
     if not lines:
@@ -91,27 +92,21 @@ def parse_trajectory(text: str) -> Trajectory:
 
     frames = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
         tokens = line.split()
-        if len(tokens) != 17:
-            raise TrajectoryParseError(
-                f"expected 17 fields (index, 4 intrinsics, 12 pose), got {len(tokens)}",
-                lineno,
-            )
+        if not tokens:
+            continue
         try:
+            if len(tokens) != 17:
+                raise ValueError(
+                    f"expected 17 fields (index, 4 intrinsics, 12 pose), got {len(tokens)}"
+                )
             index = int(tokens[0])
             values = np.array([float(tok) for tok in tokens[1:]])
-        except ValueError as err:
-            raise TrajectoryParseError(str(err), lineno)
-        if not np.all(np.isfinite(values)):
-            raise TrajectoryParseError("non-finite value", lineno)
-        fx, fy, cx, cy = values[:4]
-        rt = values[4:].reshape(3, 4)
-        try:
-            intrinsics = Intrinsics(
-                fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height
-            )
+            if not np.all(np.isfinite(values)):
+                raise ValueError("non-finite value")
+            fx, fy, cx, cy = values[:4]
+            rt = values[4:].reshape(3, 4)
+            intrinsics = Intrinsics(fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height)
             pose = Pose(rt[:, :3], rt[:, 3])
             frames.append(CameraFrame(intrinsics=intrinsics, pose=pose, index=index))
         except ValueError as err:

@@ -36,6 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import NonFiniteInputError
 from .geometry import (
     CameraFrame,
     Intrinsics,
@@ -104,11 +105,18 @@ def _ray_factors(intrinsics: Intrinsics) -> tuple[np.ndarray, np.ndarray, np.nda
     """The separable factors of the raxel grid's camera rays: ray (i, j) is
     ``(x[j], y[i], 1) / norm[i, j]``. Returns ``x`` over columns, ``y`` over
     rows and ``norm = sqrt(x[None, :]**2 + y[:, None]**2 + 1)``, a fresh
-    writeable (H_r, W_r) array."""
+    writeable (H_r, W_r) array. Focal lengths so small against the image
+    that the norm overflows are a NonFiniteInputError."""
     u, v = grid_pixel_coordinates(intrinsics.width, intrinsics.height)
-    x = (u - intrinsics.cx) / intrinsics.fx
-    y = (v - intrinsics.cy) / intrinsics.fy
-    norm = (x * x)[None, :] + (y * y)[:, None]
+    with np.errstate(over="ignore"):  # refused below, not warned about
+        x = (u - intrinsics.cx) / intrinsics.fx
+        y = (v - intrinsics.cy) / intrinsics.fy
+        norm = (x * x)[None, :] + (y * y)[:, None]
+    if np.isinf(norm).any():
+        raise NonFiniteInputError(
+            f"focal lengths {intrinsics.fx:g}/{intrinsics.fy:g} are too small for a "
+            f"{intrinsics.width}x{intrinsics.height} image: its ray directions overflow"
+        )
     norm += 1.0
     return x, y, np.sqrt(norm, out=norm)
 

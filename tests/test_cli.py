@@ -736,6 +736,42 @@ def test_bench_keeps_the_cells_before_a_failed_one(tmp_path, monkeypatch):
     assert _read(csv) == _read(whole)
 
 
+@pytest.mark.parametrize("noise, magnitudes, message", [
+    ("gaussian", (0.01, -1), "noise sigma must be >= 0, got -1.0"),
+    ("quantize", (8, 3.5), "bit depth must be an integer in [1, 16], got 3.5"),
+])
+@pytest.mark.parametrize("seeds", [2, 0])
+def test_bench_refuses_a_bad_magnitude_before_the_first_cell(tmp_path, capsys, monkeypatch,
+                                                            noise, magnitudes, message, seeds):
+    # a bad magnitude late in --magnitudes used to be refused only after the
+    # cells before it ran and were written, and never under --seeds 0
+    csv = tmp_path / "b.csv"
+    if seeds == 0:
+        run("bench", "--out", csv, *BENCH_ARGS, "--noise-kind", noise, "--magnitudes", 8)
+    before = csv.read_bytes() if csv.exists() else None
+    cells = []
+    monkeypatch.setattr(cli, "cycle_consistency_run", lambda *args: cells.append(args))
+    capsys.readouterr()
+    assert run("bench", "--out", csv, *BENCH_ARGS, "--seeds", seeds,
+               "--noise-kind", noise, "--magnitudes", *magnitudes) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert cells == []
+    assert (csv.read_bytes() if csv.exists() else None) == before
+
+
+def test_bench_names_a_resumed_row_whose_magnitude_is_not_a_number(tmp_path, capsys):
+    csv = tmp_path / "b.csv"
+    run("bench", "--out", csv, *BENCH_ARGS)
+    lines = csv.read_text().splitlines()
+    bad = lines[1].replace("orbit,5,0.001,", "orbit,5,abc,")
+    csv.write_text("\n".join([lines[0], bad, *lines[2:]]) + "\n")
+    before = csv.read_bytes()
+    capsys.readouterr()
+    assert run("bench", "--out", csv, *BENCH_ARGS) == 2
+    assert capsys.readouterr().err == f"error: malformed CSV row: {bad!r}\n"
+    assert csv.read_bytes() == before
+
+
 @pytest.mark.parametrize("interrupted_call", [1, 2])
 def test_bench_keeps_the_cells_before_an_interrupt(tmp_path, monkeypatch, interrupted_call):
     csv = tmp_path / "b.csv"
@@ -1065,6 +1101,43 @@ def test_one_pixel_image_side_is_refused(tmp_path, capsys, command):
         "error: image size 1x48 has a side under 2 pixels, "
         "which leaves its half-resolution grid empty\n"
     )
+    assert not out.exists()
+
+
+def test_detection_skips_a_candidate_whose_focal_vote_overflows_its_rays(tmp_path, capsys):
+    # found by the CLI fuzz: a 1e300 pixel in a 2x2 grid votes a focal of
+    # about 1e-300, whose identity ray grid overflowed with a numpy warning
+    traj, grids = tmp_path / "t.traj", tmp_path / "g"
+    run("synth", "arcright", 3, traj, "--width", 4, "--height", 4, "--radius", 0)
+    run("encode", traj, grids)
+    grid, index = load_raxel(str(grids / "frame_1.rxl"))
+    data = grid.data.copy()
+    data[-1, -1, 0] = 1e300
+    save_raxel(str(grids / "frame_1.rxl"), RayGrid(data), index)
+    capsys.readouterr()
+    # the other two candidates are degenerate: every camera sits at the origin
+    assert run("decode", grids, tmp_path / "p.traj") == 4
+    assert capsys.readouterr().err.startswith("error: no frame can be the reference; ")
+
+
+def test_width_too_large_for_a_float_is_a_usage_error(tmp_path, capsys):
+    # the focal divides the width as a float; the OverflowError used to escape main
+    out = tmp_path / "t.traj"
+    assert run("synth", "orbit", 3, out, "--width", 10**400) == 2
+    assert capsys.readouterr().err == "error: int too large to convert to float\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "roundtrip"])
+def test_image_too_large_to_allocate_is_a_usage_error(tmp_path, capsys, command):
+    # a 1000000x1000000 grid is refused by the allocator at once, with a
+    # MemoryError that used to escape main; encode made its directory first
+    traj, out = tmp_path / "t.traj", tmp_path / "out"
+    assert run("synth", "orbit", 3, traj, "--width", 2000000, "--height", 2000000) == 0
+    capsys.readouterr()
+    argv = ("encode", traj, out) if command == "encode" else ("roundtrip", traj, "--csv", out)
+    assert run(*argv) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate ")
     assert not out.exists()
 
 

@@ -2,13 +2,15 @@
 
 Each example runs synth, bench, roundtrip, encode, decode and metrics
 in-process through ``cli.main``, with warnings as errors, on drawn inputs:
-a trajectory kind, 1-4 frames, 1-7 pixel image sides, edge values of the
-field of view and the radius, each noise kind at edge magnitudes, an
-optional ``--reference``, and one damaged grid (a NaN, +-inf or 1e300
-pixel, or all zeros). Every command must return 0, 2, 3 or 4 without an
-exception escaping ``main``, print ``error:`` when it fails, and leave no
-file it created when it fails; ``bench`` is excepted from the last rule,
-since it keeps the rows it computed before a failing cell.
+a trajectory kind, 1-4 frames, 1-7 pixel image sides or a huge image
+(2000000x2000000, whose grid no allocator grants, or a 401-digit width,
+which no float holds), edge values of the field of view and the radius,
+each noise kind at edge magnitudes, an optional ``--reference``, and one
+damaged grid (a NaN, +-inf or 1e300 pixel, or all zeros). Every command
+must return 0, 2, 3 or 4 without an exception escaping ``main``, print
+``error:`` when it fails, and leave no file it created when it fails;
+``bench`` is excepted from the last rule, since it keeps the rows it
+computed before a failing cell.
 
 A failing example replays from its seed (``derandomize=True``); each defect
 it finds gets its own named regression test in ``test_cli.py``.
@@ -38,8 +40,9 @@ def hostile_runs(draw):
     return {
         "kind": draw(st.sampled_from(sorted(kind.value for kind in TrajectoryKind))),
         "frames": draw(st.integers(1, 4)),
-        "width": draw(st.integers(1, 7)),
-        "height": draw(st.integers(1, 7)),
+        # huge sides come in pairs: a 2000000x3 grid is allocated, and slow
+        "size": draw(st.tuples(st.integers(1, 7), st.integers(1, 7))
+                     | st.sampled_from([(2000000, 2000000), (10**400, 2000000)])),
         "fov": draw(st.sampled_from(["60", "0", "1e-9", "179.999", "180", "nan"])),
         "radius": draw(st.sampled_from(["2", "0", "-1", "1e-300", "1e300", "inf"])),
         "noise": draw(st.sampled_from(sorted(kind.value for kind in PerturbationKind))),
@@ -82,7 +85,7 @@ def _check_contract(root, argv, keeps_files=False):
 @CONTRACT_SETTINGS
 @given(hostile_runs())
 def test_every_command_keeps_the_cli_contract(run):
-    size = ["--width", str(run["width"]), "--height", str(run["height"])]
+    size = ["--width", str(run["size"][0]), "--height", str(run["size"][1])]
     shape = [f"--fov={run['fov']}", f"--radius={run['radius']}"]
     noise = [f"--noise-kind={run['noise']}"]
     with warnings.catch_warnings(), tempfile.TemporaryDirectory() as root:

@@ -154,6 +154,15 @@ class TestLossGradient:
             loss_gradient(np.ones(8), flat)
 
 
+@pytest.mark.parametrize("objective", [loss, loss_gradient], ids=["loss", "loss_gradient"])
+@pytest.mark.parametrize("weight", [-1.0, float("nan")])
+def test_negative_or_nan_cosine_weight_is_refused(objective, weight):
+    # one rule for both: loss_gradient used to take either weight, and loss
+    # returned a NaN total for a NaN weight
+    with pytest.raises(ValueError, match=r"^cosine_weight must be >= 0, got "):
+        objective(np.ones(8), random_batch(12), cosine_weight=weight)
+
+
 class TestEulerSample:
     def test_constant_field_exact(self):
         c = np.array([1.0, -2.0, 0.5])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from raxelkit.decode import decode_trajectory
+from raxelkit.errors import NonFiniteInputError
 from raxelkit.evaluation import TrajectoryKind, generate_trajectory
 from raxelkit.geometry import (
     CameraFrame,
@@ -92,6 +93,14 @@ class TestRayGrid:
         b = ray_grid(INTR)
         assert a is b
         assert not a.flags.writeable
+
+    @pytest.mark.parametrize("fx", [1e-300, 5e-324])
+    def test_focal_too_small_for_the_image_is_refused_without_a_warning(self, fx):
+        # the squared x overflows (5e-324 overflows x itself); numpy used to
+        # warn, and the grid's rays came out zero
+        intr = Intrinsics(fx=fx, fy=1.0, cx=2.0, cy=2.0, width=4, height=4)
+        with pytest.raises(NonFiniteInputError, match="its ray directions overflow$"):
+            ray_grid(intr)
 
     def test_grid_coordinates_are_block_centers(self):
         u, v = grid_pixel_coordinates(8, 6)
